@@ -5,21 +5,42 @@
  * A calendar queue tuned for the simulator's schedule shape: events
  * are overwhelmingly near-future (L1/NoC/DRAM latencies of a few
  * cycles to a few thousand), so the queue keeps a power-of-two ring
- * of per-tick buckets covering a fixed horizon and spills the rare
+ * of per-tick FIFOs covering a fixed horizon and spills the rare
  * far-future event (deep bandwidth queueing) to a small binary heap.
- * Bucket vectors are reused run-to-run, so at steady state scheduling
- * allocates nothing: the buckets are the event arena, and SmallFn
- * keeps the callback captures inside it.
+ *
+ * Storage: every pending callback lives in one 64-byte cell of a
+ * slab. A ring slot is an 8-byte {head, tail} pair of cell indices,
+ * its FIFO is linked through a parallel array of next indices, and
+ * the overflow heap orders 24-byte {tick, seq, cell} keys. A closure
+ * is built in its cell, invoked there and destroyed right after it
+ * runs; nothing ever moves it.
+ *
+ * Cells are recycled last-in-first-out, so the next schedule reuses
+ * the cell that just ran. The queue's working set is then the few
+ * cells in flight plus the ring's index pairs, both of which stay in
+ * cache, instead of per-tick buffers that went cold since the ring
+ * last came round.
+ *
+ * The slab grows in fixed-size chunks that are never reallocated: a
+ * callback runs from its own cell while it schedules more events, so
+ * growing the slab must not move that cell.
  *
  * Ordering contract (unchanged from the binary-heap implementation):
  * events fire in tick order, ties on the same tick in scheduling
- * order, which makes whole-system runs deterministic.
+ * order, which makes whole-system runs deterministic. An overflow
+ * event was scheduled before every ring event of its tick, so it
+ * fires ahead of them.
  */
 #ifndef IMPSIM_COMMON_EVENT_QUEUE_HPP
 #define IMPSIM_COMMON_EVENT_QUEUE_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <queue>
+#include <functional>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -33,9 +54,8 @@ namespace impsim {
  * hot capture — the largest is an L1 hit completion (the demand's
  * DemandDoneFn plus its tick). Demand *retries* and upgrade replays
  * capture more and take SmallFn's heap fallback, but those fire only
- * on contended-line corner cases; keeping the common Item at 72 bytes
- * (vs 128) nearly doubles event-arena density, which is where the
- * event loop's time actually goes.
+ * on contended-line corner cases. At this capacity an EventFn is
+ * exactly 64 bytes, the queue's cell size.
  */
 using EventFn = SmallFn<void(), 48>;
 
@@ -48,7 +68,18 @@ using EventFn = SmallFn<void(), 48>;
 class EventQueue
 {
   public:
-    EventQueue() : buckets_(kBuckets), bitmap_(kBuckets / 64, 0) {}
+    /** Cells per slab chunk; a chunk never moves once allocated. */
+    static constexpr std::size_t kChunkCells = 1024;
+
+    EventQueue() = default;
+    ~EventQueue() { destroyPending(); }
+
+    // Components hold references to the queue, and a running callback
+    // lives in one of its cells: the queue never moves.
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+    EventQueue(EventQueue &&) = delete;
+    EventQueue &operator=(EventQueue &&) = delete;
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -61,8 +92,8 @@ class EventQueue
 
     /**
      * Schedules @p fn at absolute tick @p when. Templated so the
-     * callable is constructed directly in its bucket slot — the
-     * per-event cost is an emplace, not a chain of type-erased moves.
+     * callable is constructed directly in its cell — the per-event
+     * cost is one construction, not a chain of type-erased moves.
      * @pre when >= now()
      */
     template <typename F>
@@ -70,17 +101,30 @@ class EventQueue
     schedule(Tick when, F &&fn)
     {
         IMPSIM_CHECK(when >= now_, "event scheduled in the past");
+        if (free_ == kNil)
+            grow();
+        std::uint32_t c = free_;
+        ::new (cellAt(c)) EventFn(std::forward<F>(fn));
+        free_ = next_[c];
         ++pending_;
         if (when - now_ < kBuckets) {
             // Within the horizon every live ring tick is unique mod
             // kBuckets, so the slot either is empty or already holds
             // tick `when` — appending preserves FIFO either way.
             std::size_t slot = when & kBucketMask;
-            buckets_[slot].items.emplace_back(when,
-                                              std::forward<F>(fn));
-            markSlot(slot);
+            Slot &s = ring_[slot];
+            next_[c] = kNil;
+            if (s.head == kNil) {
+                s.head = c;
+                markSlot(slot);
+            } else {
+                next_[s.tail] = c;
+            }
+            s.tail = c;
         } else {
-            overflow_.emplace(when, nextSeq_++, std::forward<F>(fn));
+            overflow_.push_back(FarKey{when, nextSeq_++, c});
+            std::push_heap(overflow_.begin(), overflow_.end(),
+                           std::greater<>{});
         }
     }
 
@@ -115,28 +159,30 @@ class EventQueue
         if (pending_ == 0)
             return false;
         Tick t = nextTick();
-        Bucket &b = readyBucket(t);
-        now_ = t;
-        Item item = std::move(b.items[b.head]);
-        ++b.head;
-        retireIfDrained(b, t);
-        --pending_;
-        ++executed_;
-        item.fn();
+        std::size_t slot = readySlot(t);
+        Slot &s = ring_[slot];
+        std::uint32_t c = s.head;
+        s.head = next_[c];
+        if (s.head == kNil)
+            clearSlot(slot);
+        fire(c);
         return true;
     }
 
-    /** Resets time and drops all pending events. */
+    /** Resets time and destroys all pending events. */
     void
     reset()
     {
-        for (Bucket &b : buckets_) {
-            b.items.clear();
-            b.head = 0;
-        }
-        bitmap_.assign(bitmap_.size(), 0);
+        destroyPending();
+        ring_.fill(Slot{});
+        bitmap_.fill(0);
         summary_ = 0;
-        overflow_ = {};
+        overflow_.clear();
+        free_ = kNil;
+        for (std::size_t c = next_.size(); c-- > 0;) {
+            next_[c] = free_;
+            free_ = static_cast<std::uint32_t>(c);
+        }
         now_ = 0;
         nextSeq_ = 0;
         executed_ = 0;
@@ -148,56 +194,102 @@ class EventQueue
      * Ring horizon in ticks. Covers every latency the memory system
      * composes directly (L1 + NoC + L2 + DRAM plus typical queueing);
      * only deeply queued completions overflow to the heap. Kept small
-     * enough that the bucket headers stay cache-resident — the ring
-     * is probed on every schedule and drain, and a larger horizon
-     * costs more in header misses than it saves in heap traffic.
+     * enough that the slots stay cache-resident — the ring is probed
+     * on every schedule and drain, and a larger horizon costs more in
+     * slot misses than it saves in heap traffic.
      */
     static constexpr std::size_t kBuckets = 2048;
     static constexpr std::size_t kBucketMask = kBuckets - 1;
 
-    struct Item
-    {
-        template <typename F>
-        Item(Tick w, F &&f) : when(w), fn(std::forward<F>(f))
-        {}
-        Item(Item &&) = default;
-        Item &operator=(Item &&) = default;
+    /** End-of-list / no-cell index. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-        Tick when;
-        EventFn fn;
+    /** Raw storage for one EventFn; live only while its event pends. */
+    struct alignas(EventFn) Cell
+    {
+        unsigned char bytes[sizeof(EventFn)];
+    };
+    static_assert(sizeof(Cell) == 64, "an event cell is 64 bytes");
+    static_assert((kChunkCells & (kChunkCells - 1)) == 0,
+                  "chunk size must be a power of two");
+
+    /**
+     * One calendar slot: a FIFO of same-tick cells. `tail` is
+     * meaningful only while `head != kNil`, so popping the last cell
+     * needs no second store.
+     */
+    struct Slot
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
     };
 
-    /** Overflow events carry a sequence number for FIFO tie-breaks. */
-    struct FarItem
+    /** Overflow heap key; the seq breaks same-tick ties FIFO. */
+    struct FarKey
     {
-        template <typename F>
-        FarItem(Tick w, std::uint64_t s, F &&f)
-            : when(w), seq(s), fn(std::forward<F>(f))
-        {}
-        FarItem(FarItem &&) = default;
-        FarItem &operator=(FarItem &&) = default;
-
         Tick when;
         std::uint64_t seq;
-        mutable EventFn fn; ///< Moved out of the heap top on migration.
+        std::uint32_t cell;
 
         bool
-        operator>(const FarItem &o) const
+        operator>(const FarKey &o) const
         {
             return when != o.when ? when > o.when : seq > o.seq;
         }
     };
 
-    /**
-     * One calendar slot: a FIFO of same-tick events. `head` marks the
-     * next unexecuted item, so callbacks appending same-tick events
-     * during a drain extend the FIFO in place.
-     */
-    struct Bucket
+    void *
+    cellAt(std::uint32_t c)
     {
-        std::vector<Item> items;
-        std::size_t head = 0;
-    };
+        return chunks_[c / kChunkCells][c % kChunkCells].bytes;
+    }
+
+    EventFn &
+    fnAt(std::uint32_t c)
+    {
+        return *std::launder(reinterpret_cast<EventFn *>(cellAt(c)));
+    }
+
+    /**
+     * Adds one chunk and makes its cells the free list.
+     * @pre free_ == kNil
+     */
+    void
+    grow()
+    {
+        std::size_t base = next_.size();
+        IMPSIM_CHECK(base + kChunkCells < kNil, "event slab exhausted");
+        chunks_.push_back(std::unique_ptr<Cell[]>(new Cell[kChunkCells]));
+        next_.resize(base + kChunkCells);
+        for (std::size_t i = base; i + 1 < next_.size(); ++i)
+            next_[i] = static_cast<std::uint32_t>(i + 1);
+        next_.back() = kNil;
+        free_ = static_cast<std::uint32_t>(base);
+    }
+
+    /** Runs cell @p c's callback, destroys it and frees the cell. */
+    void
+    fire(std::uint32_t c)
+    {
+        --pending_;
+        ++executed_;
+        EventFn &fn = fnAt(c);
+        fn();
+        fn.~EventFn();
+        next_[c] = free_;
+        free_ = c;
+    }
+
+    /** Destroys every pending closure (their cells are not freed). */
+    void
+    destroyPending()
+    {
+        for (const Slot &s : ring_)
+            for (std::uint32_t c = s.head; c != kNil; c = next_[c])
+                fnAt(c).~EventFn();
+        for (const FarKey &k : overflow_)
+            fnAt(k.cell).~EventFn();
+    }
 
     /**
      * Earliest pending tick.
@@ -207,8 +299,8 @@ class EventQueue
     nextTick() const
     {
         Tick ring = nextRingTick();
-        if (!overflow_.empty() && overflow_.top().when < ring)
-            return overflow_.top().when;
+        if (!overflow_.empty() && overflow_.front().when < ring)
+            return overflow_.front().when;
         return ring;
     }
 
@@ -229,7 +321,7 @@ class EventQueue
         // next non-empty bitmap word in O(1) instead of a linear
         // scan. Circular order from `word`: summary bits strictly
         // above it, then the wrapped tail at or below it (the tail
-        // re-covers `word` itself for bucket bits below `start`).
+        // re-covers `word` itself for slot bits below `start`).
         auto wordTick = [&](std::size_t idx) -> Tick {
             std::size_t bit = (idx << 6) + ctz(bitmap_[idx]);
             std::size_t dist = (bit - start + kBuckets) & kBucketMask;
@@ -248,79 +340,77 @@ class EventQueue
     }
 
     /**
-     * Returns tick @p t's bucket, migrating any overflow events due
-     * at @p t into it first (they were scheduled strictly earlier
-     * than every ring event of the same tick, so they are *inserted*
-     * ahead of the bucket's unexecuted items).
+     * Advances now() to @p t and returns its slot, first moving any
+     * overflow events due at @p t to the front of the slot's FIFO:
+     * they were scheduled strictly earlier than every ring event of
+     * the same tick. @p t is the earliest pending tick, so the slot
+     * holds tick @p t or nothing.
      */
-    Bucket &
-    readyBucket(Tick t)
+    std::size_t
+    readySlot(Tick t)
     {
-        Bucket &b = buckets_[t & kBucketMask];
-        if (!overflow_.empty() && overflow_.top().when == t) {
-            std::vector<Item> early;
-            while (!overflow_.empty() && overflow_.top().when == t) {
-                early.push_back(
-                    Item{t, std::move(overflow_.top().fn)});
-                overflow_.pop();
-            }
-            b.items.insert(b.items.begin() + b.head,
-                           std::make_move_iterator(early.begin()),
-                           std::make_move_iterator(early.end()));
+        std::size_t slot = t & kBucketMask;
+        now_ = t;
+        if (overflow_.empty() || overflow_.front().when != t)
+            return slot;
+        std::uint32_t first = kNil;
+        std::uint32_t last = kNil;
+        while (!overflow_.empty() && overflow_.front().when == t) {
+            std::uint32_t c = overflow_.front().cell;
+            std::pop_heap(overflow_.begin(), overflow_.end(),
+                          std::greater<>{});
+            overflow_.pop_back();
+            if (first == kNil)
+                first = c;
+            else
+                next_[last] = c;
+            last = c;
         }
-        markSlot(t & kBucketMask);
-        return b;
-    }
-
-    /** Recycles @p b once fully executed (keeps its arena storage). */
-    void
-    retireIfDrained(Bucket &b, Tick t)
-    {
-        if (b.head >= b.items.size()) {
-            b.items.clear();
-            b.head = 0;
-            std::size_t slot = t & kBucketMask;
-            std::size_t word = slot >> 6;
-            bitmap_[word] &= ~(std::uint64_t{1} << (slot & 63));
-            if (bitmap_[word] == 0)
-                summary_ &= ~(std::uint64_t{1} << word);
+        Slot &s = ring_[slot];
+        next_[last] = s.head;
+        if (s.head == kNil) {
+            s.tail = last;
+            markSlot(slot);
         }
+        s.head = first;
+        return slot;
     }
 
     /** Executes every event at tick @p t, including ones it spawns. */
     void
     drainTick(Tick t)
     {
-        Bucket &b = readyBucket(t);
-        now_ = t;
-        // The bucket's FIFO is stolen into scratch_ and its callbacks
-        // invoked in place — no per-item move out. Same-tick events a
-        // callback schedules land in the (now empty) bucket and are
-        // stolen by the next round; far events go to other buckets or
-        // the overflow heap as usual. Not re-entrant: callbacks
-        // schedule, they never run() or step().
-        while (b.head < b.items.size()) {
-            scratch_.swap(b.items);
-            std::size_t head = b.head;
-            b.head = 0;
-            std::size_t n = scratch_.size();
-            for (std::size_t i = head; i < n; ++i) {
-                --pending_;
-                ++executed_;
-                scratch_[i].fn();
-            }
-            scratch_.clear();
+        std::size_t slot = readySlot(t);
+        Slot &s = ring_[slot];
+        // Same-tick events a callback schedules append to this FIFO
+        // and run in this loop; far events go to other slots or the
+        // overflow heap as usual. Not re-entrant: callbacks schedule,
+        // they never run() or step().
+        while (s.head != kNil) {
+            std::uint32_t c = s.head;
+            s.head = next_[c];
+            fire(c);
         }
-        retireIfDrained(b, t);
+        clearSlot(slot);
     }
 
-    /** Flags bucket @p slot non-empty in both bitmap levels. */
+    /** Flags slot @p slot non-empty in both bitmap levels. */
     void
     markSlot(std::size_t slot)
     {
         std::size_t word = slot >> 6;
         bitmap_[word] |= std::uint64_t{1} << (slot & 63);
         summary_ |= std::uint64_t{1} << word;
+    }
+
+    /** Flags slot @p slot empty in both bitmap levels. */
+    void
+    clearSlot(std::size_t slot)
+    {
+        std::size_t word = slot >> 6;
+        bitmap_[word] &= ~(std::uint64_t{1} << (slot & 63));
+        if (bitmap_[word] == 0)
+            summary_ &= ~(std::uint64_t{1} << word);
     }
 
     static int
@@ -334,13 +424,13 @@ class EventQueue
     static_assert(kBuckets / 64 <= 64,
                   "summary scan is written for a one-word summary");
 
-    std::vector<Bucket> buckets_;
-    std::vector<std::uint64_t> bitmap_; ///< Non-empty-bucket bits.
-    std::uint64_t summary_ = 0; ///< Non-empty bits of bitmap_'s words.
-    std::vector<Item> scratch_; ///< drainTick's in-flight batch.
-    std::priority_queue<FarItem, std::vector<FarItem>,
-                        std::greater<>>
-        overflow_;
+    std::array<Slot, kBuckets> ring_{};
+    std::array<std::uint64_t, kBuckets / 64> bitmap_{}; ///< Non-empty slots.
+    std::uint64_t summary_ = 0; ///< Non-empty words of bitmap_.
+    std::vector<std::unique_ptr<Cell[]>> chunks_; ///< The slab.
+    std::vector<std::uint32_t> next_; ///< Per cell: FIFO or free link.
+    std::uint32_t free_ = kNil;       ///< Free list head (LIFO).
+    std::vector<FarKey> overflow_;    ///< Min-heap on (when, seq).
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -8,7 +8,7 @@
  * so every simulated access used to heap-allocate at least one
  * closure. SmallFn inlines callables up to a chosen capacity into the
  * object itself (events then live entirely inside the event queue's
- * bucket arena) and falls back to the heap only for oversized or
+ * cells) and falls back to the heap only for oversized or
  * throwing-move captures.
  */
 #ifndef IMPSIM_COMMON_SMALL_FN_HPP
@@ -152,7 +152,7 @@ class SmallFn<R(Args...), Capacity>
 
     // 8-byte alignment (not max_align_t): captures are pointers and
     // integers, and the looser requirement keeps sizeof(SmallFn) free
-    // of alignment padding — these objects pack into the event arena.
+    // of alignment padding — an EventFn fills one 64-byte event cell.
     alignas(std::uint64_t) mutable unsigned char storage_[Capacity];
     R (*invoke_)(void *, Args...) = nullptr;
     ManageFn manage_ = nullptr;

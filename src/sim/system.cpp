@@ -4,6 +4,8 @@
  */
 #include "sim/system.hpp"
 
+#include <sstream>
+
 #include "common/logging.hpp"
 #include "core/prefetcher_registry.hpp"
 #include "cpu/inorder_core.hpp"
@@ -83,9 +85,28 @@ System::run(Tick limit)
     for (auto &core : cores_)
         core->start();
 
-    bool drained = eq_.run(limit);
-    if (!drained || coresDone_ != cfg_.numCores)
-        IMPSIM_PANIC("simulation did not complete (deadlock or limit)");
+    if (!eq_.run(limit)) {
+        std::ostringstream msg;
+        msg << "simulation hit its tick limit at tick " << eq_.now()
+            << " (limit " << limit << ") with " << eq_.pending()
+            << " events pending";
+        IMPSIM_PANIC(msg.str().c_str());
+    }
+    if (coresDone_ != cfg_.numCores) {
+        std::ostringstream msg;
+        msg << "event queue drained with "
+            << cfg_.numCores - coresDone_ << " of " << cfg_.numCores
+            << " cores unfinished (deadlock)";
+        const char *sep = ":";
+        for (CoreId c = 0; c < cfg_.numCores; ++c) {
+            if (cores_[c]->done())
+                continue;
+            msg << sep << " core " << c << " committed "
+                << cores_[c]->stats().instructions << " instructions";
+            sep = ";";
+        }
+        IMPSIM_PANIC(msg.str().c_str());
+    }
 
     SimStats s;
     s.perCore.reserve(cores_.size());

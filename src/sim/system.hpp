@@ -41,9 +41,10 @@ class System
            const FuncMem &mem);
 
     /**
-     * Runs to completion.
-     * @param limit safety tick bound; exceeding it is a fatal error
-     *        (deadlock in the modeled machine).
+     * Runs to completion. Panics, naming the case, if @p limit is
+     * hit or the queue drains with cores unfinished (a deadlock in
+     * the modeled machine).
+     * @param limit safety tick bound
      */
     SimStats run(Tick limit = kDefaultRunLimit);
 

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -231,6 +232,140 @@ TEST(EventQueue, OverflowEventsMigrateAheadOfLaterRingEvents)
     });
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+/**
+ * A capture that counts its live copies, so a closure destroyed twice
+ * drives the count negative and a leaked one leaves it positive.
+ */
+struct Token
+{
+    explicit Token(int *live) : live(live) { ++*live; }
+    Token(const Token &o) : live(o.live) { ++*live; }
+    Token(Token &&o) noexcept : live(o.live) { ++*live; }
+    Token &operator=(const Token &) = delete;
+    ~Token() { --*live; }
+
+    int *live;
+};
+
+/** A callable over EventFn's 48 inline bytes: SmallFn's heap path. */
+struct FatClosure
+{
+    Token token;
+    std::array<std::uint64_t, 8> ballast{};
+
+    void operator()() const {}
+};
+static_assert(sizeof(FatClosure) > 48, "must not fit inline");
+
+TEST(EventQueueLifetime, ClosureIsDestroyedRightAfterItRuns)
+{
+    int live = 0;
+    EventQueue eq;
+    eq.schedule(1, [t = Token(&live)] {});
+    eq.schedule(2, FatClosure{Token(&live)});
+    eq.schedule(50000, [t = Token(&live)] {}); // overflow heap
+    eq.schedule(3, [&live] { EXPECT_EQ(live, 1); }); // only the far one
+    EXPECT_EQ(live, 3);
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(live, 2);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueueLifetime, ResetDestroysPendingClosuresOnce)
+{
+    int live = 0;
+    EventQueue eq;
+    eq.schedule(1, [t = Token(&live)] {});
+    eq.schedule(1, FatClosure{Token(&live)});
+    eq.schedule(90000, [t = Token(&live)] {});
+    eq.schedule(90000, FatClosure{Token(&live)});
+    EXPECT_EQ(live, 4);
+    eq.reset();
+    EXPECT_EQ(live, 0);
+    EXPECT_EQ(eq.pending(), 0u);
+
+    // The queue runs again on its recycled cells.
+    int fired = 0;
+    eq.schedule(1, [&fired, t = Token(&live)] { ++fired; });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueueLifetime, DestructorDestroysPendingClosuresOnce)
+{
+    int live = 0;
+    {
+        EventQueue eq;
+        eq.schedule(1, [t = Token(&live)] {});
+        eq.schedule(2, FatClosure{Token(&live)});
+        eq.schedule(3, [t = Token(&live)] {});
+        eq.schedule(4, FatClosure{Token(&live)});
+        eq.schedule(70000, [t = Token(&live)] {});
+        eq.schedule(70000, FatClosure{Token(&live)});
+        EXPECT_FALSE(eq.run(2));
+        EXPECT_EQ(live, 4);
+    }
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueueLifetime, CallbackSurvivesSlabGrowthItCauses)
+{
+    // The running callback's cell must not move while it schedules
+    // enough same-tick children to add several chunks to the slab.
+    constexpr std::size_t kChildren = 3 * EventQueue::kChunkCells + 5;
+    EventQueue eq;
+    std::vector<std::size_t> order;
+    std::vector<std::uint32_t> seen;
+    std::array<std::uint32_t, 4> words{11, 22, 33, 44};
+    auto parent = [&eq, &order, &seen, words] {
+        for (std::size_t i = 0; i < kChildren; ++i)
+            eq.schedule(7, [&order, i] { order.push_back(i); });
+        seen.assign(words.begin(), words.end());
+    };
+    static_assert(sizeof(parent) <= 48, "captures must live in the cell");
+    eq.schedule(7, parent);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(seen, (std::vector<std::uint32_t>{11, 22, 33, 44}));
+    ASSERT_EQ(order.size(), kChildren);
+    for (std::size_t i = 0; i < kChildren; ++i)
+        ASSERT_EQ(order[i], i);
+    EXPECT_EQ(eq.now(), 7u);
+    EXPECT_EQ(eq.executed(), kChildren + 1);
+}
+
+TEST(EventQueueLifetime, OverflowMigratesAheadAfterHeavyCellReuse)
+{
+    // Many interleaved chains recycle cells in a scrambled order
+    // before the far tick comes into the ring; the overflow events
+    // due then must still fire first, in their scheduling order,
+    // ahead of the ring events scheduled for the same tick.
+    const Tick far = 60000;
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(far, [&order] { order.push_back(0); });
+
+    std::mt19937_64 rng(1205);
+    std::function<void()> churn = [&] {
+        if (eq.now() + 300 < far)
+            eq.scheduleAfter(1 + rng() % 200, churn);
+    };
+    for (int i = 0; i < 64; ++i)
+        eq.schedule(rng() % 64, churn);
+
+    eq.schedule(500, [&] {
+        eq.schedule(far, [&order] { order.push_back(1); });
+    });
+    eq.schedule(far - 100, [&] {
+        eq.schedule(far, [&order] { order.push_back(2); });
+        eq.schedule(far, [&order] { order.push_back(3); });
+    });
+    EXPECT_TRUE(eq.run());
+    EXPECT_GT(eq.executed(), 10000u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -179,6 +179,36 @@ TEST(Hierarchy, DeadlockFreeUnderContention)
     EXPECT_GT(s.cycles, 0u);
 }
 
+TEST(HierarchyDeath, TickLimitPanicNamesTickLimitAndPendingEvents)
+{
+    TraceBuilder tb(4);
+    for (std::uint32_t c = 0; c < 4; ++c)
+        tb.load(c, 1, 0x100000 + c * 4096ull, 8, AccessType::Other, 0);
+    auto traces = tb.take();
+    System sys(smallConfig(), traces, tb.mem());
+    // Cold misses take over 100 cycles, so tick 50 cuts them short.
+    EXPECT_DEATH(sys.run(50), "tick limit at tick [0-9]+ \\(limit 50\\) "
+                              "with [1-9][0-9]* events pending");
+}
+
+TEST(HierarchyDeath, DrainedQueuePanicNamesUnfinishedCores)
+{
+    // The mesh needs a square core count, so 4 cores: only core 0's
+    // trace carries a barrier flag, and the other three finish
+    // without ever arriving, leaving core 0 waiting on an empty queue.
+    TraceBuilder tb(4);
+    tb.load(0, 1, 0x100000, 8, AccessType::Other, 3);
+    tb.load(0, 1, 0x100040, 8, AccessType::Other, 0);
+    for (std::uint32_t c = 1; c < 4; ++c)
+        tb.load(c, 2, 0x900000 + c * 4096ull, 8, AccessType::Other, 0);
+    auto traces = tb.take();
+    traces[0].accesses[1].flags |= kFlagBarrierBefore;
+    System sys(smallConfig(), traces, tb.mem());
+    EXPECT_DEATH(sys.run(), "drained with 1 of 4 cores unfinished "
+                            "\\(deadlock\\): core 0 committed 4 "
+                            "instructions");
+}
+
 /** Larger mesh sizes wire up and run. */
 class MeshSizeSweep : public ::testing::TestWithParam<std::uint32_t>
 {};

@@ -4,87 +4,38 @@
  * paper's setup), at the L2 (training on the L1 miss stream, filling
  * the shared slices), or at both. Runs the graph/sparse workloads at
  * 64 cores with no other prefetching, normalised to the no-prefetch
- * machine, and reports each level's prefetch activity.
+ * machine, and reports each level's prefetch activity (grid:
+ * examples/configs/ablation_attach.imp.ini).
  */
 #include "harness.hpp"
 
 using namespace impsim;
 using namespace impsim::bench;
 
-namespace {
-
-struct Variant
-{
-    const char *tag;     ///< runCustom key suffix + column header.
-    const char *l1Spec;
-    const char *l2Spec;
-};
-
-constexpr Variant kVariants[] = {
-    {"attach_off", "none", "none"},
-    {"attach_l1", "imp", "none"},
-    {"attach_l2", "none", "imp"},
-    {"attach_l1l2", "imp", "imp"},
-};
-
-/** The indirect-heavy graph/sparse apps (streaming is the control). */
-const AppId kApps[] = {AppId::Graph500, AppId::Pagerank, AppId::Spmv,
-                       AppId::Symgs, AppId::TriCount};
-
-SystemConfig
-variantConfig(const Variant &v)
-{
-    SystemConfig cfg = makePreset(ConfigPreset::NoPrefetch, 64);
-    cfg.prefetcherSpec = v.l1Spec;
-    cfg.l2PrefetcherSpec = v.l2Spec;
-    return cfg;
-}
-
-const SimStats &
-runVariant(AppId app, const Variant &v)
-{
-    return runCustom(v.tag, app, variantConfig(v));
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    // One SweepRunner batch over the whole app x attach-level grid.
-    std::vector<SweepPoint> points;
-    for (AppId app : kApps) {
-        for (const Variant &v : kVariants)
-            points.push_back(
-                SweepPoint{v.tag, app, variantConfig(v), false});
-    }
-    prewarm(points);
-
-    for (AppId app : kApps) {
-        for (const Variant &v : kVariants) {
-            registerRun(std::string("attach/") + appName(app) + "/" +
-                            v.tag,
-                        [app, &v]() -> const SimStats & {
-                            return runVariant(app, v);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("ablation_attach.imp.ini");
 
     banner("Ablation: IMP attach level (64 cores, vs no prefetching)",
            "the paper attaches IMP at the L1; its design targets any "
            "level of the hierarchy");
     header({"L1", "L2", "L1+L2", "L2cov", "L2acc"});
-    for (AppId app : kApps) {
-        double off = static_cast<double>(
-            runVariant(app, kVariants[0]).cycles);
-        const SimStats &l2only = runVariant(app, kVariants[2]);
-        auto speedup = [&](const Variant &v) {
-            return off / static_cast<double>(runVariant(app, v).cycles);
+    // The indirect-heavy graph/sparse apps (streaming is the control).
+    for (AppId app : {AppId::Graph500, AppId::Pagerank, AppId::Spmv,
+                      AppId::Symgs, AppId::TriCount}) {
+        auto attach = [&](const char *l1, const char *l2) -> const SimStats & {
+            return grid.at(app, std::string("NoPref/64c/l1=") + l1 + "/l2=" +
+                                 l2);
+        };
+        double off = static_cast<double>(attach("none", "none").cycles);
+        const SimStats &l2only = attach("none", "imp");
+        auto speedup = [&](const char *l1, const char *l2) {
+            return off / static_cast<double>(attach(l1, l2).cycles);
         };
         row(appName(app),
-            {speedup(kVariants[1]), speedup(kVariants[2]),
-             speedup(kVariants[3]), l2only.l2.coverage(),
+            {speedup("imp", "none"), speedup("none", "imp"),
+             speedup("imp", "imp"), l2only.l2.coverage(),
              l2only.l2.accuracy()});
     }
     return 0;

@@ -2,7 +2,9 @@
  * @file
  * Design-choice ablations for the §3.3 optimisations: nested-loop PC
  * resynchronisation and multi-way/multi-level secondary indirections,
- * plus the IPD back-off.
+ * plus the IPD back-off. The runs are built in code: each knockout
+ * changes one knob of full IMP, and "no back-off" (an initial
+ * back-off of 0) is below what a config may set.
  */
 #include "harness.hpp"
 
@@ -11,42 +13,40 @@ using namespace impsim::bench;
 
 namespace {
 
-const SimStats &
-runVariant(AppId app, const char *tag)
+struct Knockout
 {
-    SystemConfig cfg = makePreset(ConfigPreset::Imp, 64);
-    std::string t = tag;
-    if (t == "noresync")
-        cfg.imp.pcResync = false;
-    else if (t == "nosecondary")
-        cfg.imp.secondaryIndirection = false;
-    else if (t == "nobackoff")
-        cfg.imp.backoffInitial = 0;
-    return runCustom(t, app, cfg);
-}
+    const char *tag;
+    void (*apply)(ImpConfig &imp);
+};
+
+const Knockout kKnockouts[] = {
+    {"full", [](ImpConfig &) {}},
+    {"noresync", [](ImpConfig &imp) { imp.pcResync = false; }},
+    {"nosecondary",
+     [](ImpConfig &imp) { imp.secondaryIndirection = false; }},
+    {"nobackoff", [](ImpConfig &imp) { imp.backoffInitial = 0; }},
+};
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     // Apps chosen per feature: nested loops (spmv, symgs), multi-way
     // (pagerank), multi-level (lsh), short loops (tri_count).
     const AppId kApps[] = {AppId::Spmv, AppId::Symgs, AppId::Pagerank,
                            AppId::Lsh, AppId::TriCount};
-    const char *kTags[] = {"full", "noresync", "nosecondary",
-                           "nobackoff"};
 
+    Experiment exp;
     for (AppId app : kApps) {
-        for (const char *t : kTags) {
-            registerRun(std::string("ablation/") + appName(app) + "/" +
-                            t,
-                        [app, t]() -> const SimStats & {
-                            return runVariant(app, t);
-                        });
+        for (const Knockout &k : kKnockouts) {
+            ExperimentRun r = presetRun(app, ConfigPreset::Imp, 64);
+            k.apply(r.cfg.imp);
+            r.label += std::string("/") + k.tag;
+            exp.runs.push_back(std::move(r));
         }
     }
-    runBenchmarks(argc, argv);
+    Grid grid(exp);
 
     banner("Ablation (§3.3): IMP feature knockouts (64 cores, "
            "throughput vs full IMP)",
@@ -55,15 +55,14 @@ main(int argc, char **argv)
            "(multi-level)");
     header({"full", "no-resync", "no-second", "no-backoff"});
     for (AppId app : kApps) {
-        double ref = static_cast<double>(runVariant(app, "full").cycles);
-        row(appName(app),
-            {1.0,
-             ref / static_cast<double>(
-                       runVariant(app, "noresync").cycles),
-             ref / static_cast<double>(
-                       runVariant(app, "nosecondary").cycles),
-             ref / static_cast<double>(
-                       runVariant(app, "nobackoff").cycles)});
+        auto cycles = [&](const char *tag) {
+            return static_cast<double>(
+                grid.at(app, std::string("IMP/64c/") + tag).cycles);
+        };
+        double ref = cycles("full");
+        row(appName(app), {1.0, ref / cycles("noresync"),
+                           ref / cycles("nosecondary"),
+                           ref / cycles("nobackoff")});
     }
     return 0;
 }

@@ -2,27 +2,20 @@
  * @file
  * §5.4 ablation: a Global History Buffer correlation prefetcher on
  * top of the stream prefetcher provides no benefit on these
- * workloads and wastes traffic, while IMP does not.
+ * workloads and wastes traffic, while IMP does not (grid:
+ * examples/configs/ablation_ghb.imp.ini).
  */
 #include "harness.hpp"
+
+#include <cstdio>
 
 using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    for (AppId app : paperApps()) {
-        for (ConfigPreset p : {ConfigPreset::Baseline, ConfigPreset::Ghb,
-                               ConfigPreset::Imp}) {
-            registerRun(std::string("ghb/") + appName(app) + "/" +
-                            presetName(p),
-                        [app, p]() -> const SimStats & {
-                            return run(app, p, 64);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("ablation_ghb.imp.ini");
 
     banner("Ablation (§5.4): GHB correlation prefetching vs IMP "
            "(64 cores)",
@@ -31,9 +24,9 @@ main(int argc, char **argv)
     header({"GHB.spdup", "IMP.spdup", "GHB.noc", "GHB.dram"});
     std::vector<double> ghb_gain, imp_gain;
     for (AppId app : paperApps()) {
-        const SimStats &base = run(app, ConfigPreset::Baseline, 64);
-        const SimStats &ghb = run(app, ConfigPreset::Ghb, 64);
-        const SimStats &imp = run(app, ConfigPreset::Imp, 64);
+        const SimStats &base = grid.at(app, "Base/64c");
+        const SimStats &ghb = grid.at(app, "GHB/64c");
+        const SimStats &imp = grid.at(app, "IMP/64c");
         double g = static_cast<double>(base.cycles) /
                    static_cast<double>(ghb.cycles);
         double i = static_cast<double>(base.cycles) /

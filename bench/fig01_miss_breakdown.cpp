@@ -1,7 +1,7 @@
 /**
  * @file
  * Fig 1: L1 cache-miss breakdown by access type (indirect / stream /
- * other) on the 64-core baseline.
+ * other) on the 64-core baseline (grid: examples/configs/fig01.imp.ini).
  */
 #include "harness.hpp"
 
@@ -9,21 +9,16 @@ using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    for (AppId app : paperApps()) {
-        registerRun(std::string("fig1/") + appName(app), [app]() -> const SimStats & {
-            return run(app, ConfigPreset::Baseline, 64);
-        });
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig01.imp.ini");
 
     banner("Figure 1: cache miss breakdown (Base, 64 cores)",
            "indirect accesses cause ~60% of L1 misses on average");
     header({"indirect", "stream", "other"});
     std::vector<double> ind_all;
     for (AppId app : paperApps()) {
-        const SimStats &s = run(app, ConfigPreset::Baseline, 64);
+        const SimStats &s = grid.at(app, "Base/64c");
         double total = static_cast<double>(s.l1.misses);
         if (total == 0)
             total = 1;

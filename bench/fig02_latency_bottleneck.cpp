@@ -1,7 +1,8 @@
 /**
  * @file
  * Fig 2: runtime normalised to Ideal, split into stall cycles from
- * indirect accesses vs everything else, plus the PerfPref bound.
+ * indirect accesses vs everything else, plus the PerfPref bound
+ * (grid: examples/configs/fig02.imp.ini).
  */
 #include "harness.hpp"
 
@@ -9,20 +10,9 @@ using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    for (AppId app : paperApps()) {
-        for (ConfigPreset p : {ConfigPreset::Ideal,
-                               ConfigPreset::Baseline,
-                               ConfigPreset::PerfectPref}) {
-            registerRun(std::string("fig2/") + appName(app) + "/" +
-                            presetName(p),
-                        [app, p]() -> const SimStats & {
-                            return run(app, p, 64);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig02.imp.ini");
 
     banner("Figure 2: runtime normalised to Ideal (64 cores)",
            "indirect stalls dominate; PerfPref ~1.8x Ideal on average "
@@ -30,9 +20,9 @@ main(int argc, char **argv)
     header({"norm.rt", "indirect", "other", "PerfPref"});
     std::vector<double> pp_all;
     for (AppId app : paperApps()) {
-        double ideal = static_cast<double>(
-            run(app, ConfigPreset::Ideal, 64).cycles);
-        const SimStats &base = run(app, ConfigPreset::Baseline, 64);
+        double ideal =
+            static_cast<double>(grid.at(app, "Ideal/64c").cycles);
+        const SimStats &base = grid.at(app, "Base/64c");
         double norm = static_cast<double>(base.cycles) / ideal;
         // Split the excess over Ideal by stall attribution.
         double ind_stall = static_cast<double>(
@@ -46,9 +36,8 @@ main(int argc, char **argv)
         double excess = norm - 1.0;
         double ind_part =
             tot_stall > 0 ? excess * ind_stall / tot_stall : 0.0;
-        double pp = static_cast<double>(
-                        run(app, ConfigPreset::PerfectPref, 64).cycles) /
-                    ideal;
+        double pp =
+            static_cast<double>(grid.at(app, "PerfPref/64c").cycles) / ideal;
         pp_all.push_back(pp);
         row(appName(app), {norm, 1.0 + ind_part, norm - 1.0 - ind_part,
                            pp});

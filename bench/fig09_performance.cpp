@@ -1,46 +1,22 @@
 /**
  * @file
  * Fig 9 (a/b/c): performance of Base / IMP / SWPref normalised to
- * Perfect Prefetching at 16, 64 and 256 cores.
+ * Perfect Prefetching at 16, 64 and 256 cores (grid:
+ * examples/configs/fig09.imp.ini).
  */
 #include "harness.hpp"
+
+#include <cstdio>
 
 using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const std::uint32_t kCores[] = {16, 64, 256};
-    const ConfigPreset kCfgs[] = {
-        ConfigPreset::PerfectPref, ConfigPreset::Baseline,
-        ConfigPreset::Imp, ConfigPreset::SwPref};
+    Grid grid = Grid::load("fig09.imp.ini");
 
-    // Simulate the whole cores x app x preset grid in parallel.
-    std::vector<PresetPoint> points;
-    for (std::uint32_t cores : kCores) {
-        for (AppId app : paperApps()) {
-            for (ConfigPreset p : kCfgs)
-                points.push_back(PresetPoint{app, p, cores});
-        }
-    }
-    prewarmPresets(points);
-
-    for (std::uint32_t cores : kCores) {
-        for (AppId app : paperApps()) {
-            for (ConfigPreset p : kCfgs) {
-                registerRun(std::string("fig9/") +
-                                std::to_string(cores) + "c/" +
-                                appName(app) + "/" + presetName(p),
-                            [app, p, cores]() -> const SimStats & {
-                                return run(app, p, cores);
-                            });
-            }
-        }
-    }
-    runBenchmarks(argc, argv);
-
-    for (std::uint32_t cores : kCores) {
+    for (std::uint32_t cores : {16u, 64u, 256u}) {
         banner("Figure 9: normalised throughput vs PerfPref (" +
                    std::to_string(cores) + " cores)",
                "IMP: 74%/56%/33% average speedup over Base at "
@@ -48,11 +24,9 @@ main(int argc, char **argv)
         header({"PerfPref", "Base", "IMP", "SWPref"});
         std::vector<double> speedups;
         for (AppId app : paperApps()) {
-            double base = normThroughput(app, ConfigPreset::Baseline,
-                                         cores);
-            double imp = normThroughput(app, ConfigPreset::Imp, cores);
-            double sw = normThroughput(app, ConfigPreset::SwPref,
-                                       cores);
+            double base = normThroughput(grid, app, "Base", cores);
+            double imp = normThroughput(grid, app, "IMP", cores);
+            double sw = normThroughput(grid, app, "SWPref", cores);
             speedups.push_back(imp / base);
             row(appName(app), {1.0, base, imp, sw});
         }

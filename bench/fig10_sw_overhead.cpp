@@ -1,27 +1,19 @@
 /**
  * @file
  * Fig 10: instruction overhead of software prefetching at 64 cores,
- * normalised to Baseline.
+ * normalised to Baseline (grid: examples/configs/fig10.imp.ini).
  */
 #include "harness.hpp"
+
+#include <cstdio>
 
 using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    for (AppId app : paperApps()) {
-        for (ConfigPreset p : {ConfigPreset::Baseline, ConfigPreset::Imp,
-                               ConfigPreset::SwPref}) {
-            registerRun(std::string("fig10/") + appName(app) + "/" +
-                            presetName(p),
-                        [app, p]() -> const SimStats & {
-                            return run(app, p, 64);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig10.imp.ini");
 
     banner("Figure 10: instruction count normalised to Base (64 cores)",
            "SW prefetching costs ~29% more instructions than IMP on "
@@ -30,11 +22,11 @@ main(int argc, char **argv)
     std::vector<double> over;
     for (AppId app : paperApps()) {
         double base = static_cast<double>(
-            run(app, ConfigPreset::Baseline, 64).core.instructions);
-        double imp = static_cast<double>(
-            run(app, ConfigPreset::Imp, 64).core.instructions);
+            grid.at(app, "Base/64c").core.instructions);
+        double imp =
+            static_cast<double>(grid.at(app, "IMP/64c").core.instructions);
         double sw = static_cast<double>(
-            run(app, ConfigPreset::SwPref, 64).core.instructions);
+            grid.at(app, "SWPref/64c").core.instructions);
         over.push_back(sw / imp);
         row(appName(app), {1.0, imp / base, sw / base});
     }

@@ -2,47 +2,21 @@
  * @file
  * Fig 11 (a/b/c): IMP with partial cacheline accessing (NoC-only and
  * NoC+DRAM) vs plain IMP and Ideal, normalised to PerfPref, at 16,
- * 64 and 256 cores.
+ * 64 and 256 cores (grid: examples/configs/fig11.imp.ini).
  */
 #include "harness.hpp"
+
+#include <cstdio>
 
 using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const std::uint32_t kCores[] = {16, 64, 256};
-    const ConfigPreset kCfgs[] = {
-        ConfigPreset::Imp, ConfigPreset::ImpPartialNoc,
-        ConfigPreset::ImpPartialNocDram, ConfigPreset::Ideal,
-        ConfigPreset::PerfectPref};
+    Grid grid = Grid::load("fig11.imp.ini");
 
-    // Simulate the whole cores x app x preset grid in parallel.
-    std::vector<PresetPoint> points;
-    for (std::uint32_t cores : kCores) {
-        for (AppId app : paperApps()) {
-            for (ConfigPreset p : kCfgs)
-                points.push_back(PresetPoint{app, p, cores});
-        }
-    }
-    prewarmPresets(points);
-
-    for (std::uint32_t cores : kCores) {
-        for (AppId app : paperApps()) {
-            for (ConfigPreset p : kCfgs) {
-                registerRun(std::string("fig11/") +
-                                std::to_string(cores) + "c/" +
-                                appName(app) + "/" + presetName(p),
-                            [app, p, cores]() -> const SimStats & {
-                                return run(app, p, cores);
-                            });
-            }
-        }
-    }
-    runBenchmarks(argc, argv);
-
-    for (std::uint32_t cores : kCores) {
+    for (std::uint32_t cores : {16u, 64u, 256u}) {
         banner("Figure 11: partial cacheline accessing (" +
                    std::to_string(cores) + " cores, vs PerfPref)",
                "partial NoC+DRAM adds 9.5%/9.4%/6.9% over IMP at "
@@ -51,13 +25,10 @@ main(int argc, char **argv)
         header({"IMP", "Part.NoC", "Part.N+D", "Ideal"});
         std::vector<double> gain;
         for (AppId app : paperApps()) {
-            double imp = normThroughput(app, ConfigPreset::Imp, cores);
-            double pn =
-                normThroughput(app, ConfigPreset::ImpPartialNoc, cores);
-            double pd = normThroughput(
-                app, ConfigPreset::ImpPartialNocDram, cores);
-            double ideal =
-                normThroughput(app, ConfigPreset::Ideal, cores);
+            double imp = normThroughput(grid, app, "IMP", cores);
+            double pn = normThroughput(grid, app, "Partial-NoC", cores);
+            double pd = normThroughput(grid, app, "Partial-NoC+DRAM", cores);
+            double ideal = normThroughput(grid, app, "Ideal", cores);
             gain.push_back(pd / imp);
             row(appName(app), {imp, pn, pd, ideal});
         }

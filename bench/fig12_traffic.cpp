@@ -1,7 +1,8 @@
 /**
  * @file
  * Fig 12: NoC and DRAM traffic of partial cacheline accessing
- * normalised to full cacheline accessing (64 cores).
+ * normalised to full cacheline accessing (64 cores; grid:
+ * examples/configs/fig12.imp.ini).
  */
 #include "harness.hpp"
 
@@ -9,28 +10,9 @@ using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    // Simulate the whole app x preset grid in parallel.
-    std::vector<PresetPoint> points;
-    for (AppId app : paperApps()) {
-        for (ConfigPreset p :
-             {ConfigPreset::Imp, ConfigPreset::ImpPartialNocDram})
-            points.push_back(PresetPoint{app, p, 64});
-    }
-    prewarmPresets(points);
-
-    for (AppId app : paperApps()) {
-        for (ConfigPreset p :
-             {ConfigPreset::Imp, ConfigPreset::ImpPartialNocDram}) {
-            registerRun(std::string("fig12/") + appName(app) + "/" +
-                            presetName(p),
-                        [app, p]() -> const SimStats & {
-                            return run(app, p, 64);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig12.imp.ini");
 
     banner("Figure 12: traffic with partial accessing, normalised to "
            "full lines (64 cores)",
@@ -39,9 +21,8 @@ main(int argc, char **argv)
     header({"noc", "dram"});
     std::vector<double> noc_all, dram_all;
     for (AppId app : paperApps()) {
-        const SimStats &full = run(app, ConfigPreset::Imp, 64);
-        const SimStats &part =
-            run(app, ConfigPreset::ImpPartialNocDram, 64);
+        const SimStats &full = grid.at(app, "IMP/64c");
+        const SimStats &part = grid.at(app, "Partial-NoC+DRAM/64c");
         double n = static_cast<double>(part.noc.bytes) /
                    static_cast<double>(full.noc.bytes);
         double d = static_cast<double>(part.dram.bytes()) /

@@ -2,7 +2,7 @@
  * @file
  * Fig 13: IMP and partial accessing on in-order vs out-of-order
  * cores (pagerank and sgd, 64 cores), normalised to the out-of-order
- * baseline.
+ * baseline (grid: examples/configs/fig13.imp.ini).
  */
 #include "harness.hpp"
 
@@ -10,39 +10,9 @@ using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const AppId kApps[] = {AppId::Pagerank, AppId::Sgd};
-    const ConfigPreset kCfgs[] = {ConfigPreset::Baseline,
-                                  ConfigPreset::Imp,
-                                  ConfigPreset::ImpPartialNocDram};
-
-    // Simulate the whole app x preset x core-model grid in parallel.
-    std::vector<PresetPoint> points;
-    for (AppId app : kApps) {
-        for (ConfigPreset p : kCfgs) {
-            for (CoreModel m :
-                 {CoreModel::InOrder, CoreModel::OutOfOrder})
-                points.push_back(PresetPoint{app, p, 64, m});
-        }
-    }
-    prewarmPresets(points);
-
-    for (AppId app : kApps) {
-        for (ConfigPreset p : kCfgs) {
-            for (CoreModel m :
-                 {CoreModel::InOrder, CoreModel::OutOfOrder}) {
-                registerRun(
-                    std::string("fig13/") + appName(app) + "/" +
-                        presetName(p) +
-                        (m == CoreModel::OutOfOrder ? "/ooo" : "/io"),
-                    [app, p, m]() -> const SimStats & {
-                        return run(app, p, 64, m);
-                    });
-            }
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig13.imp.ini");
 
     banner("Figure 13: in-order vs out-of-order cores (64 cores, "
            "normalised to Base_ooo)",
@@ -50,22 +20,15 @@ main(int argc, char **argv)
            "(20%/37% avg for IMP/partial on OoO)");
     header({"Base_io", "Base_ooo", "IMP_io", "IMP_ooo", "Part_io",
             "Part_ooo"});
-    for (AppId app : kApps) {
-        double ref = static_cast<double>(
-            run(app, ConfigPreset::Baseline, 64,
-                CoreModel::OutOfOrder)
-                .cycles);
-        auto thr = [&](ConfigPreset p, CoreModel m) {
-            return ref / static_cast<double>(run(app, p, 64, m).cycles);
+    for (AppId app : {AppId::Pagerank, AppId::Sgd}) {
+        double ref = static_cast<double>(grid.at(app, "Base/64c/ooo").cycles);
+        auto thr = [&](const std::string &run) {
+            return ref / static_cast<double>(grid.at(app, run).cycles);
         };
         row(appName(app),
-            {thr(ConfigPreset::Baseline, CoreModel::InOrder),
-             thr(ConfigPreset::Baseline, CoreModel::OutOfOrder),
-             thr(ConfigPreset::Imp, CoreModel::InOrder),
-             thr(ConfigPreset::Imp, CoreModel::OutOfOrder),
-             thr(ConfigPreset::ImpPartialNocDram, CoreModel::InOrder),
-             thr(ConfigPreset::ImpPartialNocDram,
-                 CoreModel::OutOfOrder)});
+            {thr("Base/64c"), thr("Base/64c/ooo"), thr("IMP/64c"),
+             thr("IMP/64c/ooo"), thr("Partial-NoC+DRAM/64c"),
+             thr("Partial-NoC+DRAM/64c/ooo")});
     }
     return 0;
 }

@@ -1,57 +1,29 @@
 /**
  * @file
  * Fig 14: sensitivity to Prefetch Table size (8/16/32 entries) at 64
- * cores, normalised to the default of 16. The grid is declared as
- * data (examples/configs/fig14.imp.ini) and expanded by the config
- * binder — this bench only formats the table.
+ * cores, normalised to the default of 16 (grid:
+ * examples/configs/fig14.imp.ini).
  */
 #include "harness.hpp"
-
-#include <cstdio>
-#include <cstdlib>
 
 using namespace impsim;
 using namespace impsim::bench;
 
-namespace {
-
-std::vector<ExperimentRun> grid;
-
-const SimStats &
-statsFor(AppId app, std::uint32_t pt)
-{
-    for (const ExperimentRun &r : grid) {
-        if (r.app == app && r.cfg.imp.ptEntries == pt)
-            return runCustom(r.label, r.app, r.cfg, r.swPrefetch);
-    }
-    std::fprintf(stderr, "fig14 grid is missing %s at pt=%u\n",
-                 appName(app), pt);
-    std::exit(1);
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    // Simulate the whole app x PT-size grid in parallel.
-    grid = prewarmConfig(configPath("fig14.imp.ini"));
-
-    for (const ExperimentRun &r : grid) {
-        registerRun("fig14/" + r.label, [r]() -> const SimStats & {
-            return runCustom(r.label, r.app, r.cfg, r.swPrefetch);
-        });
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig14.imp.ini");
 
     banner("Figure 14: PT size sensitivity (64 cores, vs PT=16)",
            "mostly flat; tri_count and lsh benefit from 16 over 8");
     header({"PT=8", "PT=16", "PT=32"});
     for (AppId app : paperApps()) {
-        double ref = static_cast<double>(statsFor(app, 16).cycles);
-        row(appName(app),
-            {ref / static_cast<double>(statsFor(app, 8).cycles), 1.0,
-             ref / static_cast<double>(statsFor(app, 32).cycles)});
+        auto cycles = [&](const char *pt) {
+            return static_cast<double>(
+                grid.at(app, std::string("IMP/64c/pt=") + pt).cycles);
+        };
+        double ref = cycles("16");
+        row(appName(app), {ref / cycles("8"), 1.0, ref / cycles("32")});
     }
     return 0;
 }

@@ -1,65 +1,29 @@
 /**
  * @file
  * Fig 15: sensitivity to IPD size (2/4/8 entries) at 64 cores,
- * normalised to the default of 4.
+ * normalised to the default of 4 (grid: examples/configs/fig15.imp.ini).
  */
 #include "harness.hpp"
 
 using namespace impsim;
 using namespace impsim::bench;
 
-namespace {
-
-SystemConfig
-ipdConfig(std::uint32_t n)
-{
-    SystemConfig cfg = makePreset(ConfigPreset::Imp, 64);
-    cfg.imp.ipdEntries = n;
-    return cfg;
-}
-
-const SimStats &
-runIpd(AppId app, std::uint32_t n)
-{
-    return runCustom("ipd" + std::to_string(n), app, ipdConfig(n));
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    const std::uint32_t kSizes[] = {2, 4, 8};
-
-    // One SweepRunner batch over the whole app x IPD-size grid.
-    std::vector<SweepPoint> points;
-    for (AppId app : paperApps()) {
-        for (std::uint32_t n : kSizes)
-            points.push_back(SweepPoint{"ipd" + std::to_string(n), app,
-                                        ipdConfig(n), false});
-    }
-    prewarm(points);
-
-    for (AppId app : paperApps()) {
-        for (std::uint32_t n : kSizes) {
-            registerRun(std::string("fig15/") + appName(app) + "/ipd" +
-                            std::to_string(n),
-                        [app, n]() -> const SimStats & {
-                            return runIpd(app, n);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig15.imp.ini");
 
     banner("Figure 15: IPD size sensitivity (64 cores, vs IPD=4)",
            "flat except symgs (frequent redetections): 4 beats 2 by "
            "~3.5%");
     header({"IPD=2", "IPD=4", "IPD=8"});
     for (AppId app : paperApps()) {
-        double ref = static_cast<double>(runIpd(app, 4).cycles);
-        row(appName(app),
-            {ref / static_cast<double>(runIpd(app, 2).cycles), 1.0,
-             ref / static_cast<double>(runIpd(app, 8).cycles)});
+        auto cycles = [&](const char *ipd) {
+            return static_cast<double>(
+                grid.at(app, std::string("IMP/64c/ipd=") + ipd).cycles);
+        };
+        double ref = cycles("4");
+        row(appName(app), {ref / cycles("2"), 1.0, ref / cycles("8")});
     }
     return 0;
 }

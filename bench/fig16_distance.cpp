@@ -1,55 +1,18 @@
 /**
  * @file
  * Fig 16: sensitivity to the maximum indirect prefetch distance
- * (4/8/16/32) at 64 cores, normalised to the default of 16.
+ * (4/8/16/32) at 64 cores, normalised to the default of 16 (grid:
+ * examples/configs/fig16.imp.ini).
  */
 #include "harness.hpp"
 
 using namespace impsim;
 using namespace impsim::bench;
 
-namespace {
-
-SystemConfig
-distConfig(std::uint32_t d)
-{
-    SystemConfig cfg = makePreset(ConfigPreset::Imp, 64);
-    cfg.imp.maxPrefetchDistance = d;
-    return cfg;
-}
-
-const SimStats &
-runDist(AppId app, std::uint32_t d)
-{
-    return runCustom("dist" + std::to_string(d), app, distConfig(d));
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    const std::uint32_t kDists[] = {4, 8, 16, 32};
-
-    // One SweepRunner batch over the whole app x distance grid.
-    std::vector<SweepPoint> points;
-    for (AppId app : paperApps()) {
-        for (std::uint32_t d : kDists)
-            points.push_back(SweepPoint{"dist" + std::to_string(d), app,
-                                        distConfig(d), false});
-    }
-    prewarm(points);
-
-    for (AppId app : paperApps()) {
-        for (std::uint32_t d : kDists) {
-            registerRun(std::string("fig16/") + appName(app) + "/d" +
-                            std::to_string(d),
-                        [app, d]() -> const SimStats & {
-                            return runDist(app, d);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("fig16.imp.ini");
 
     banner("Figure 16: max prefetch distance sensitivity (64 cores, "
            "vs dist=16)",
@@ -57,11 +20,13 @@ main(int argc, char **argv)
            "distances; short-loop apps (tri_count) can lose");
     header({"d=4", "d=8", "d=16", "d=32"});
     for (AppId app : paperApps()) {
-        double ref = static_cast<double>(runDist(app, 16).cycles);
-        row(appName(app),
-            {ref / static_cast<double>(runDist(app, 4).cycles),
-             ref / static_cast<double>(runDist(app, 8).cycles), 1.0,
-             ref / static_cast<double>(runDist(app, 32).cycles)});
+        auto cycles = [&](const char *d) {
+            return static_cast<double>(
+                grid.at(app, std::string("IMP/64c/distance=") + d).cycles);
+        };
+        double ref = cycles("16");
+        row(appName(app), {ref / cycles("4"), ref / cycles("8"), 1.0,
+                           ref / cycles("32")});
     }
     return 0;
 }

@@ -4,59 +4,44 @@
  * costs IMP, at 64 cores, across page sizes. Columns are absolute IPC
  * and IMP L1 coverage for translation-off, 4 KiB pages and 2 MiB
  * pages; the paper's figures all assume free translation, so "off" is
- * the reference the other columns discount.
+ * the reference the other columns discount. The runs are built in
+ * code: "off" plus two page sizes is not a product of config keys.
  */
 #include "harness.hpp"
-
-#include <cstdio>
 
 using namespace impsim;
 using namespace impsim::bench;
 
 namespace {
 
-/** @p page_bytes == 0 means translation off. */
-SystemConfig
-tlbCfg(std::uint64_t page_bytes)
+struct Variant
 {
-    SystemConfig cfg = makePreset(ConfigPreset::Imp, 64);
-    if (page_bytes != 0) {
-        cfg.tlb.enable = true;
-        cfg.tlb.pageBytes = page_bytes;
-    }
-    return cfg;
-}
+    const char *tag;
+    /** 0 means translation off. */
+    std::uint64_t pageBytes;
+};
 
-const char *
-tagFor(std::uint64_t page_bytes)
-{
-    return page_bytes == 0        ? "tlb-off"
-           : page_bytes == 4096   ? "tlb-4k"
-                                  : "tlb-2m";
-}
-
-const std::uint64_t kVariants[] = {0, 4096, std::uint64_t{2} << 20};
+const Variant kVariants[] = {
+    {"tlb-off", 0}, {"tlb-4k", 4096}, {"tlb-2m", std::uint64_t{2} << 20}};
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    std::vector<SweepPoint> grid;
+    Experiment exp;
     for (AppId app : paperApps()) {
-        for (std::uint64_t pb : kVariants)
-            grid.push_back(SweepPoint{tagFor(pb), app, tlbCfg(pb)});
+        for (const Variant &v : kVariants) {
+            ExperimentRun r = presetRun(app, ConfigPreset::Imp, 64);
+            if (v.pageBytes != 0) {
+                r.cfg.tlb.enable = true;
+                r.cfg.tlb.pageBytes = v.pageBytes;
+            }
+            r.label += std::string("/") + v.tag;
+            exp.runs.push_back(std::move(r));
+        }
     }
-    prewarm(grid);
-
-    for (const SweepPoint &p : grid) {
-        registerRun(std::string("fig_tlb/") + appName(p.app) + "/" +
-                        p.tag,
-                    [p]() -> const SimStats & {
-                        return runCustom(p.tag, p.app, p.cfg);
-                    });
-    }
-    runBenchmarks(argc, argv);
+    Grid grid(exp);
 
     banner("TLB panel: IMP under virtual memory (64 cores; IPC and "
            "L1 coverage, translation off vs 4 KiB vs 2 MiB pages)",
@@ -65,12 +50,9 @@ main(int argc, char **argv)
            "a thin tail of IMP's issue stream");
     header({"ipc", "ipc-4k", "ipc-2m", "cov", "cov-4k", "cov-2m"});
     for (AppId app : paperApps()) {
-        const SimStats &off = runCustom(tagFor(0), app, tlbCfg(0));
-        const SimStats &p4k =
-            runCustom(tagFor(4096), app, tlbCfg(4096));
-        const SimStats &p2m = runCustom(tagFor(std::uint64_t{2} << 20),
-                                        app,
-                                        tlbCfg(std::uint64_t{2} << 20));
+        const SimStats &off = grid.at(app, "IMP/64c/tlb-off");
+        const SimStats &p4k = grid.at(app, "IMP/64c/tlb-4k");
+        const SimStats &p2m = grid.at(app, "IMP/64c/tlb-2m");
         row(appName(app),
             {off.ipc(), p4k.ipc(), p2m.ipc(), off.l1.coverage(),
              p4k.l1.coverage(), p2m.l1.coverage()});

@@ -4,19 +4,64 @@
  */
 #include "harness.hpp"
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <memory>
+#include <numeric>
 
-#include "sim/sweep_runner.hpp"
-#include "sim/system.hpp"
+#include "common/logging.hpp"
+#include "sim/experiment_runner.hpp"
 
 namespace impsim::bench {
+
+namespace {
+
+/** IMPSIM_BENCH_SCALE, or 1.0 (evaluation size) when unset. */
+double
+benchScale()
+{
+    const char *env = std::getenv("IMPSIM_BENCH_SCALE");
+    if (!env)
+        return 1.0;
+    char *end = nullptr;
+    double scale = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !(scale > 0.0)) {
+        std::fprintf(stderr,
+                     "IMPSIM_BENCH_SCALE must be a positive number, "
+                     "got '%s'\n",
+                     env);
+        std::exit(1);
+    }
+    return scale;
+}
+
+/** IMPSIM_BENCH_JOBS, or 0 (hardware concurrency) when unset. */
+unsigned
+benchJobs()
+{
+    const char *env = std::getenv("IMPSIM_BENCH_JOBS");
+    if (!env)
+        return 0;
+    std::string v = env;
+    bool ok = !v.empty() &&
+              v.find_first_not_of("0123456789") == std::string::npos;
+    if (ok) {
+        try {
+            unsigned long ul = std::stoul(v);
+            if (ul <= std::numeric_limits<unsigned>::max())
+                return static_cast<unsigned>(ul);
+        } catch (const std::exception &) {
+        }
+    }
+    std::fprintf(stderr,
+                 "IMPSIM_BENCH_JOBS must be a non-negative integer "
+                 "(<= %u), got '%s'\n",
+                 std::numeric_limits<unsigned>::max(), env);
+    std::exit(1);
+}
+
+} // namespace
 
 const std::vector<AppId> &
 paperApps()
@@ -26,206 +71,70 @@ paperApps()
     return apps;
 }
 
-double
-benchScale()
+ExperimentRun
+presetRun(AppId app, ConfigPreset preset, std::uint32_t cores)
 {
-    // IMPSIM_BENCH_SCALE trims inputs for smoke runs of the harness.
-    if (const char *env = std::getenv("IMPSIM_BENCH_SCALE"))
-        return std::atof(env);
-    return 1.0;
+    ExperimentRun r;
+    r.label = std::string(appName(app)) + "/" + presetName(preset) + "/" +
+              std::to_string(cores) + "c";
+    r.cfg = makePreset(preset, cores);
+    r.app = app;
+    r.scale = benchScale();
+    r.swPrefetch = presetWantsSwPrefetch(preset);
+    return r;
 }
 
-namespace {
-
-struct WorkloadKey
+Grid
+Grid::load(const std::string &config)
 {
-    AppId app;
-    std::uint32_t cores;
-    bool swpf;
-
-    bool
-    operator<(const WorkloadKey &o) const
-    {
-        return std::tie(app, cores, swpf) <
-               std::tie(o.app, o.cores, o.swpf);
-    }
-};
-
-const Workload &
-cachedWorkload(AppId app, std::uint32_t cores, bool swpf)
-{
-    static std::map<WorkloadKey, std::unique_ptr<Workload>> cache;
-    auto &slot = cache[WorkloadKey{app, cores, swpf}];
-    if (!slot) {
-        WorkloadParams p;
-        p.numCores = cores;
-        p.swPrefetch = swpf;
-        p.scale = benchScale();
-        slot = std::make_unique<Workload>(makeWorkload(app, p));
-    }
-    return *slot;
-}
-
-std::map<std::string, std::unique_ptr<SimStats>> &
-simCache()
-{
-    static std::map<std::string, std::unique_ptr<SimStats>> cache;
-    return cache;
-}
-
-const SimStats &
-cachedSim(const std::string &key, AppId app, const SystemConfig &cfg,
-          bool swpf)
-{
-    auto &slot = simCache()[key];
-    if (!slot) {
-        const Workload &w = cachedWorkload(app, cfg.numCores, swpf);
-        System sys(cfg, w.traces, *w.mem);
-        slot = std::make_unique<SimStats>(sys.run());
-    }
-    return *slot;
-}
-
-std::string
-customKey(AppId app, const std::string &tag)
-{
-    return std::string(appName(app)) + "/custom/" + tag;
-}
-
-std::string
-presetKey(AppId app, ConfigPreset preset, std::uint32_t cores,
-          CoreModel model)
-{
-    return std::string(appName(app)) + "/" + presetName(preset) + "/" +
-           std::to_string(cores) +
-           (model == CoreModel::OutOfOrder ? "/ooo" : "");
-}
-
-/** Parallel-runs @p jobs and memoises each result under @p keys. */
-void
-runAndMemoise(std::vector<SweepJob> &&jobs,
-              std::vector<std::string> &&keys)
-{
-    if (jobs.empty())
-        return;
-
-    unsigned workers = 0;
-    if (const char *env = std::getenv("IMPSIM_BENCH_JOBS")) {
-        std::string v = env;
-        bool ok = !v.empty() &&
-                  v.find_first_not_of("0123456789") == std::string::npos;
-        if (ok) {
-            try {
-                unsigned long ul = std::stoul(v);
-                ok = ul <= std::numeric_limits<unsigned>::max();
-                if (ok)
-                    workers = static_cast<unsigned>(ul);
-            } catch (const std::exception &) {
-                ok = false;
-            }
-        }
-        if (!ok) {
-            std::fprintf(stderr,
-                         "IMPSIM_BENCH_JOBS must be a non-negative "
-                         "integer (<= %u), got '%s'\n",
-                         std::numeric_limits<unsigned>::max(), env);
-            std::exit(1);
-        }
-    }
-    std::vector<SweepResult> results = SweepRunner(workers).run(jobs);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        simCache()[keys[i]] =
-            std::make_unique<SimStats>(std::move(results[i].stats));
-}
-
-} // namespace
-
-const SimStats &
-run(AppId app, ConfigPreset preset, std::uint32_t cores, CoreModel model)
-{
-    SystemConfig cfg = makePreset(preset, cores, model);
-    return cachedSim(presetKey(app, preset, cores, model), app, cfg,
-                     presetWantsSwPrefetch(preset));
-}
-
-const SimStats &
-runCustom(const std::string &tag, AppId app, const SystemConfig &cfg,
-          bool swpf)
-{
-    return cachedSim(customKey(app, tag), app, cfg, swpf);
-}
-
-void
-prewarm(const std::vector<SweepPoint> &points)
-{
-    // Workload generation shares a cache; do it on this thread, then
-    // fan the independent simulations out.
-    std::vector<SweepJob> jobs;
-    std::vector<std::string> keys;
-    for (const SweepPoint &p : points) {
-        std::string key = customKey(p.app, p.tag);
-        if (simCache().count(key) != 0)
-            continue;
-        const Workload &w = cachedWorkload(p.app, p.cfg.numCores, p.swpf);
-        jobs.push_back(SweepJob{key, p.cfg, &w.traces, w.mem.get()});
-        keys.push_back(std::move(key));
-    }
-    runAndMemoise(std::move(jobs), std::move(keys));
-}
-
-void
-prewarmPresets(const std::vector<PresetPoint> &points)
-{
-    std::vector<SweepJob> jobs;
-    std::vector<std::string> keys;
-    for (const PresetPoint &p : points) {
-        std::string key = presetKey(p.app, p.preset, p.cores, p.model);
-        if (simCache().count(key) != 0)
-            continue;
-        bool swpf = presetWantsSwPrefetch(p.preset);
-        const Workload &w = cachedWorkload(p.app, p.cores, swpf);
-        jobs.push_back(SweepJob{key, makePreset(p.preset, p.cores, p.model),
-                                &w.traces, w.mem.get()});
-        keys.push_back(std::move(key));
-    }
-    runAndMemoise(std::move(jobs), std::move(keys));
-}
-
-std::string
-configPath(const std::string &name)
-{
-    std::string dir = IMPSIM_SOURCE_DIR "/examples/configs";
-    if (const char *env = std::getenv("IMPSIM_BENCH_CONFIG_DIR"))
-        dir = env;
-    return dir + "/" + name;
-}
-
-std::vector<ExperimentRun>
-prewarmConfig(const std::string &path)
-{
-    std::vector<ExperimentRun> runs;
+    CliOverrides cli;
+    cli.scale = benchScale();
     try {
-        runs = bindExperiment(ConfigFile::parseFile(path)).runs;
+        return Grid(bindExperiment(
+            ConfigFile::parseFile(IMPSIM_SOURCE_DIR "/examples/configs/" +
+                                  config),
+            cli));
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(1);
     }
-    std::vector<SweepPoint> points;
-    for (const ExperimentRun &r : runs)
-        points.push_back(SweepPoint{r.label, r.app, r.cfg, r.swPrefetch});
-    prewarm(points);
-    return runs;
+}
+
+Grid::Grid(const Experiment &exp)
+{
+    std::vector<std::size_t> all(exp.runs.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    ExperimentRunOptions opt;
+    opt.jobs = benchJobs();
+    std::vector<SimStats> stats;
+    // Nothing can cancel the batch, so it always completes.
+    simulateRuns(exp, all, opt, stats);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        bool fresh =
+            stats_.emplace(exp.runs[i].label, std::move(stats[i])).second;
+        IMPSIM_CHECK(fresh, "bench grid repeats a run label");
+    }
+}
+
+const SimStats &
+Grid::at(AppId app, const std::string &rest) const
+{
+    const std::string label = std::string(appName(app)) + "/" + rest;
+    auto it = stats_.find(label);
+    if (it == stats_.end()) {
+        std::fprintf(stderr, "bench grid has no run '%s'\n", label.c_str());
+        std::exit(1);
+    }
+    return it->second;
 }
 
 double
-normThroughput(AppId app, ConfigPreset preset, std::uint32_t cores,
-               CoreModel model)
+normThroughput(const Grid &grid, AppId app, const std::string &preset,
+               std::uint32_t cores)
 {
-    const SimStats &ref =
-        run(app, ConfigPreset::PerfectPref, cores, model);
-    const SimStats &s = run(app, preset, cores, model);
-    return static_cast<double>(ref.cycles) /
-           static_cast<double>(s.cycles);
+    const std::string at = "/" + std::to_string(cores) + "c";
+    return static_cast<double>(grid.at(app, "PerfPref" + at).cycles) /
+           static_cast<double>(grid.at(app, preset + at).cycles);
 }
 
 double
@@ -267,31 +176,6 @@ row(const std::string &label, const std::vector<double> &cells, int prec)
     for (double v : cells)
         std::printf(" %10.*f", prec, v);
     std::printf("\n");
-}
-
-void
-registerRun(const std::string &name,
-            std::function<const SimStats &()> fn)
-{
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [fn](benchmark::State &state) {
-            for (auto _ : state) {
-                const SimStats &s = fn();
-                state.counters["sim_cycles"] =
-                    static_cast<double>(s.cycles);
-                state.counters["ipc"] = s.ipc();
-            }
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-void
-runBenchmarks(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
 }
 
 } // namespace impsim::bench

@@ -1,99 +1,67 @@
 /**
  * @file
- * Shared benchmark harness: memoised simulation runs, normalisation
- * helpers and paper-style table printing. Every bench binary
- * regenerates one table or figure of the paper (see DESIGN.md §3).
+ * Shared figure-bench harness: binds a figure's grid, simulates it
+ * through simulateRuns() — the one code path every front end shares —
+ * and prints paper-style tables. Every bench binary regenerates one
+ * table or figure of the paper and keeps only its normalisation and
+ * table code.
+ *
+ * IMPSIM_BENCH_SCALE shrinks inputs (0.05 is a good smoke value; it
+ * is the --scale override of a config grid), and IMPSIM_BENCH_JOBS
+ * caps the SweepRunner workers (default: hardware concurrency).
  */
 #ifndef IMPSIM_BENCH_HARNESS_HPP
 #define IMPSIM_BENCH_HARNESS_HPP
 
-#include <functional>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/config_file.hpp"
 #include "common/stats.hpp"
 #include "sim/presets.hpp"
-#include "workloads/workload.hpp"
 
 namespace impsim::bench {
 
 /** The seven evaluated applications, in figure order. */
 const std::vector<AppId> &paperApps();
 
-/** Input scale used by all benches (1.0 = evaluation size). */
-double benchScale();
-
 /**
- * Runs (or returns the memoised result of) one simulation.
- * @param model core model (Fig 13 uses OutOfOrder)
+ * One run built in code, for grids that are not a product of config
+ * keys: @p preset on @p cores in-order cores at the bench scale,
+ * labelled "app/preset/Nc" like the binder labels it.
  */
-const SimStats &run(AppId app, ConfigPreset preset, std::uint32_t cores,
-                    CoreModel model = CoreModel::InOrder);
+ExperimentRun presetRun(AppId app, ConfigPreset preset,
+                        std::uint32_t cores);
 
-/**
- * Runs a custom configuration; @p tag must uniquely identify it.
- * @param swpf generate the software-prefetch trace variant
- */
-const SimStats &runCustom(const std::string &tag, AppId app,
-                          const SystemConfig &cfg, bool swpf = false);
-
-/** One point of a sweep, keyed exactly like runCustom(tag, app, ...). */
-struct SweepPoint
+/** The simulated statistics of one figure's grid, by run label. */
+class Grid
 {
-    std::string tag;
-    AppId app;
-    SystemConfig cfg;
-    bool swpf = false;
+  public:
+    /**
+     * Binds the shipped experiment config examples/configs/@p config
+     * at the bench scale and simulates every run. Config errors
+     * terminate with the file:line diagnostic.
+     */
+    static Grid load(const std::string &config);
+
+    /** Simulates every run of @p exp (labels must be unique). */
+    explicit Grid(const Experiment &exp);
+
+    /** The run labelled "<app>/<rest>"; exits if the grid lacks it. */
+    const SimStats &at(AppId app, const std::string &rest) const;
+
+  private:
+    std::map<std::string, SimStats> stats_;
 };
 
 /**
- * Simulates every not-yet-memoised point in parallel on a SweepRunner
- * (IMPSIM_BENCH_JOBS workers, default hardware concurrency) and
- * memoises the results, so subsequent run()/runCustom() calls for the
- * same points return instantly. Stats are identical to serial runs —
- * jobs share nothing but const workloads.
+ * cycles(PerfPref) / cycles(@p preset) at @p cores: Fig 9/11's
+ * normalisation.
  */
-void prewarm(const std::vector<SweepPoint> &points);
-
-/** One preset run, keyed exactly like run(app, preset, cores, model). */
-struct PresetPoint
-{
-    AppId app;
-    ConfigPreset preset;
-    std::uint32_t cores;
-    CoreModel model = CoreModel::InOrder;
-};
-
-/**
- * prewarm() for preset-keyed runs: fills the cache run() reads, so the
- * figure benches over preset grids (fig 9/11/12/13) simulate their
- * whole grid in parallel instead of serially on first use.
- */
-void prewarmPresets(const std::vector<PresetPoint> &points);
-
-/**
- * Source-tree path of a shipped experiment config
- * ("fig14.imp.ini" -> <source>/examples/configs/fig14.imp.ini).
- * IMPSIM_BENCH_CONFIG_DIR overrides the directory.
- */
-std::string configPath(const std::string &name);
-
-/**
- * Loads a declarative experiment config (docs/config_format.md),
- * expands its sweep and prewarms every run, memoised under
- * runCustom(run.label, ...). The harness's workload cache supplies
- * the inputs, so IMPSIM_BENCH_SCALE supersedes the file's scale and
- * seed (smoke runs shrink config-driven grids too). Config errors
- * terminate with the file:line diagnostic. Returns the expanded runs
- * (labels + configs) for the bench's table code to iterate.
- */
-std::vector<ExperimentRun> prewarmConfig(const std::string &path);
-
-/** cycles(PerfPref) / cycles(preset): Fig 9/11's normalisation. */
-double normThroughput(AppId app, ConfigPreset preset,
-                      std::uint32_t cores,
-                      CoreModel model = CoreModel::InOrder);
+double normThroughput(const Grid &grid, AppId app, const std::string &preset,
+                      std::uint32_t cores);
 
 /** Geometric mean. */
 double geomean(const std::vector<double> &v);
@@ -109,16 +77,6 @@ void header(const std::vector<std::string> &cols);
 /** Prints one row: label + numeric cells. */
 void row(const std::string &label, const std::vector<double> &cells,
          int prec = 2);
-
-/**
- * Registers a Google-Benchmark entry that executes @p fn once and
- * reports its simulated cycles; call before runBenchmarks().
- */
-void registerRun(const std::string &name,
-                 std::function<const SimStats &()> fn);
-
-/** Initialises and runs Google Benchmark, then returns. */
-void runBenchmarks(int argc, char **argv);
 
 } // namespace impsim::bench
 

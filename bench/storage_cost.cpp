@@ -67,7 +67,7 @@ computeStorage(const SystemConfig &cfg)
 } // namespace
 
 int
-main(int, char **)
+main()
 {
     SystemConfig cfg = makePreset(ConfigPreset::ImpPartialNocDram, 64);
     StorageModel m = computeStorage(cfg);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Table 3: prefetch coverage, accuracy and normalised memory latency
- * for the streaming prefetcher alone vs streaming + IMP (64 cores).
+ * for the streaming prefetcher alone vs streaming + IMP (64 cores;
+ * grid: examples/configs/table3.imp.ini).
  */
 #include "harness.hpp"
 
@@ -9,19 +10,9 @@ using namespace impsim;
 using namespace impsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
-    for (AppId app : paperApps()) {
-        for (ConfigPreset p : {ConfigPreset::Baseline, ConfigPreset::Imp,
-                               ConfigPreset::PerfectPref}) {
-            registerRun(std::string("table3/") + appName(app) + "/" +
-                            presetName(p),
-                        [app, p]() -> const SimStats & {
-                            return run(app, p, 64);
-                        });
-        }
-    }
-    runBenchmarks(argc, argv);
+    Grid grid = Grid::load("table3.imp.ini");
 
     banner("Table 3: prefetcher effectiveness (64 cores)",
            "stream alone: cov 0.28 / acc 0.79 / lat 3.64; "
@@ -30,9 +21,9 @@ main(int argc, char **argv)
             "lat.imp"});
     std::vector<double> cs, as, ls, ci, ai, li;
     for (AppId app : paperApps()) {
-        const SimStats &base = run(app, ConfigPreset::Baseline, 64);
-        const SimStats &imp = run(app, ConfigPreset::Imp, 64);
-        const SimStats &pp = run(app, ConfigPreset::PerfectPref, 64);
+        const SimStats &base = grid.at(app, "Base/64c");
+        const SimStats &imp = grid.at(app, "IMP/64c");
+        const SimStats &pp = grid.at(app, "PerfPref/64c");
         double lat_ref = pp.avgLoadLatency();
         double lat_b = base.avgLoadLatency() / lat_ref;
         double lat_i = imp.avgLoadLatency() / lat_ref;

@@ -27,11 +27,12 @@
  * in docs/traces.md). The path is relative to the working directory
  * in flag mode, and to the config file's directory inside a config.
  *
- * --record-trace FILE builds the flag-selected workload and writes it
- * as an IMPTRACE file instead of simulating — ".gz"/".xz" suffixes
- * compress through gzip/xz. Replaying the file reproduces the
- * recorded run bit-exactly. --preset only picks the software-prefetch
- * flavor here (SWPref records the sw-prefetch variant).
+ * --record-trace FILE builds the workload of the single flag-mode run
+ * and writes it as an IMPTRACE file instead of simulating —
+ * ".gz"/".xz" suffixes compress through gzip/xz. Replaying the file
+ * reproduces the recorded run bit-exactly. --preset only picks the
+ * software-prefetch flavor here (SWPref records the sw-prefetch
+ * variant).
  *
  * --bench-json FILE times the pinned simulator-speed grids (default
  * "pinned,fig9"; see docs/perf.md) and writes machine-readable JSON
@@ -70,12 +71,14 @@
  * across the tiles. --l2-prefetcher does the same for the L2-attached
  * engines (per tile); the default is no L2 prefetching.
  *
- * A comma-separated --preset list (without --config) runs every
- * preset through the parallel SweepRunner and prints one CSV row
- * each. Config-driven sweeps behave identically: one run prints the
- * full report, several print CSV rows in sweep order, and
- * single-preset-axis configs are bit-identical (labels included) to
- * the equivalent --preset list.
+ * Without --config, the flags bind a made-up config whose only line
+ * is `[sweep] preset = [<--preset list, default IMP>]`, with every
+ * other flag applied as an override and diagnostics citing
+ * "<command line>". Flag mode and config-driven sweeps therefore
+ * behave identically: one run prints the full report, several run in
+ * parallel and print CSV rows in sweep order, and single-preset-axis
+ * configs are bit-identical (labels included) to the equivalent
+ * --preset list.
  *
  * Examples:
  *   impsim_cli --config examples/configs/fig09.imp.ini --csv
@@ -88,53 +91,22 @@
  *   impsim_cli --app graph500 --prefetcher=none --l2-prefetcher=imp
  */
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "common/config_file.hpp"
 #include "server/client.hpp"
 #include "sim/experiment_runner.hpp"
 #include "sim/perf_bench.hpp"
-#include "sim/presets.hpp"
-#include "sim/report.hpp"
-#include "sim/sweep_runner.hpp"
-#include "sim/system.hpp"
 #include "workloads/trace_io.hpp"
 #include "workloads/workload.hpp"
 
 using namespace impsim;
 
 namespace {
-
-AppId
-parseApp(const std::string &name)
-{
-    AppId app;
-    if (parseAppName(name, app))
-        return app;
-    std::fprintf(stderr, "unknown app '%s' (or trace:<path>)\n",
-                 name.c_str());
-    std::exit(1);
-}
-
-ConfigPreset
-parsePreset(const std::string &name)
-{
-    ConfigPreset preset;
-    if (parsePresetName(name, preset))
-        return preset;
-    std::fprintf(stderr,
-                 "unknown preset '%s' (try Ideal, PerfPref, Base, "
-                 "SWPref, IMP, Partial-NoC, Partial-NoC+DRAM, GHB, "
-                 "NoPref)\n",
-                 name.c_str());
-    std::exit(1);
-}
 
 std::uint64_t
 parseUint(const std::string &flag, const std::string &value,
@@ -181,83 +153,49 @@ parseDouble(const std::string &flag, const std::string &value)
     std::exit(1);
 }
 
-/** Parses a SPEC[,SPEC...] flag into global + per-core spec fields. */
-void
-applySpecList(const std::string &flag, const std::string &value,
-              std::uint32_t cores, std::string &global,
-              std::vector<std::string> &per_core)
-{
-    std::vector<std::string> stacks = splitCommaList(value);
-    for (const std::string &s : stacks) {
-        if (s.empty()) {
-            std::fprintf(stderr, "%s has an empty stack in '%s'\n",
-                         flag.c_str(), value.c_str());
-            std::exit(1);
-        }
-    }
-    if (stacks.size() == 1) {
-        global = stacks[0];
-        return;
-    }
-    // Heterogeneous: assign stacks round-robin across cores/tiles.
-    per_core.resize(cores);
-    for (std::uint32_t c = 0; c < cores; ++c)
-        per_core[c] = stacks[c % stacks.size()];
-}
-
-/** Applies CLI overrides shared by single runs and sweep rows. */
-void
-applyOverrides(SystemConfig &cfg, std::uint32_t pt, std::uint32_t ipd,
-               std::uint32_t distance, const std::string &prefetcher,
-               const std::string &l2_prefetcher, std::uint32_t cores)
-{
-    if (pt)
-        cfg.imp.ptEntries = pt;
-    if (ipd)
-        cfg.imp.ipdEntries = ipd;
-    if (distance)
-        cfg.imp.maxPrefetchDistance = distance;
-    if (!prefetcher.empty()) {
-        applySpecList("--prefetcher", prefetcher, cores,
-                      cfg.prefetcherSpec, cfg.corePrefetcherSpecs);
-    }
-    if (!l2_prefetcher.empty()) {
-        applySpecList("--l2-prefetcher", l2_prefetcher, cores,
-                      cfg.l2PrefetcherSpec, cfg.l2SlicePrefetcherSpecs);
-    }
-}
-
 /**
- * Runs a config-driven experiment: one run prints the full report
- * (unless --csv), several fan out over the SweepRunner and print CSV.
- * The execution itself lives in runExperiment() — the exact code the
- * job server runs, which is what makes `--submit` bit-identical.
+ * The made-up config flag mode binds: a preset axis over the --preset
+ * list. Names are quoted, so any flag text stays one list item and
+ * reaches the binder's unknown-preset diagnostic as typed.
  */
-int
-runConfigExperiment(const std::string &path, const CliOverrides &cli,
-                    bool check, bool csv, unsigned jobs)
+ConfigFile
+flagModeConfig(const std::string &presets)
 {
-    Experiment exp;
-    try {
-        exp = bindExperiment(ConfigFile::parseFile(path), cli);
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
+    std::string items;
+    for (const std::string &name : splitCommaList(presets)) {
+        std::string quoted = "\"";
+        for (char ch : name) {
+            if (ch == '"' || ch == '\\')
+                quoted += '\\';
+            quoted += ch;
+        }
+        items += (items.empty() ? "" : ", ") + quoted + "\"";
+    }
+    return ConfigFile::parseString("[sweep]\npreset = [" + items + "]\n",
+                                   "<command line>");
+}
+
+/** Writes the workload of @p exp's single run to @p path. */
+int
+recordFlagTrace(const Experiment &exp, const std::string &path)
+{
+    if (exp.runs.size() != 1) {
+        std::fprintf(stderr, "--record-trace takes a single --preset "
+                             "(it only picks the sw-prefetch flavor)\n");
         return 1;
     }
-    if (check) {
-        std::printf("%s: OK (%zu run%s)\n", path.c_str(),
-                    exp.runs.size(), exp.runs.size() == 1 ? "" : "s");
-        return 0;
-    }
-
-    ExperimentRunOptions opt;
-    opt.csv = csv;
-    opt.jobs = jobs;
+    const ExperimentRun &r = exp.runs[0];
     try {
-        runExperiment(exp, std::cout, opt);
+        Workload w = makeWorkload(r.app, workloadParams(r));
+        TraceWriteStats st = recordTrace(path, w.traces, *w.mem);
+        std::printf("wrote %s: %llu records, %llu memory chunks "
+                    "(%llu bytes before compression)\n",
+                    path.c_str(),
+                    static_cast<unsigned long long>(st.recordCount),
+                    static_cast<unsigned long long>(st.memChunkCount),
+                    static_cast<unsigned long long>(st.decodedBytes));
     } catch (const TraceError &e) {
-        // The bind-time probe only reads the header; a trace that
-        // rots past it (or disappears) surfaces here.
+        // Replaying a bad source trace, a failing codec, or I/O.
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
@@ -276,18 +214,14 @@ main(int argc, char **argv)
     bool list = false;
     std::uint32_t priority = 0;
     bool check = false;
-    std::string appName_;
+    // Flags become overrides on the bound config — the file in
+    // declarative mode, local (--config) or remote (--submit), or the
+    // made-up preset sweep in flag mode. One shared mapping, so the
+    // paths cannot drift apart — drift would silently break the
+    // submitted-equals-in-process invariant.
+    CliOverrides cli;
     std::string presets;
-    std::uint32_t cores = 0;
-    double scale = 0.0;
-    bool has_scale = false;
-    bool ooo = false;
     bool csv = false;
-    std::uint32_t pt = 0, ipd = 0, distance = 0;
-    std::uint64_t seed = 0;
-    bool has_seed = false;
-    std::string prefetcher;
-    std::string l2Prefetcher;
     unsigned jobs = 0;
     std::string benchJson;
     std::string benchGrids = "pinned,fig9";
@@ -336,41 +270,35 @@ main(int argc, char **argv)
             }
         }
         else if (a == "--app")
-            appName_ = next();
+            cli.app = next();
         else if (a == "--preset")
             presets = next();
-        else if (a == "--cores") {
-            cores = parseU32(a, next());
-            if (cores == 0) {
-                std::fprintf(stderr, "--cores must be positive\n");
-                return 1;
-            }
-        }
-        else if (a == "--scale") {
-            scale = parseDouble(a, next());
-            has_scale = true;
-        }
+        else if (a == "--cores")
+            cli.cores = parseU32(a, next());
+        else if (a == "--scale")
+            cli.scale = parseDouble(a, next());
         else if (a == "--ooo" || a == "--csv" || a == "--check") {
             if (has_inline) {
                 std::fprintf(stderr, "%s takes no value\n", a.c_str());
                 return 1;
             }
-            (a == "--ooo" ? ooo : a == "--csv" ? csv : check) = true;
+            if (a == "--ooo")
+                cli.outOfOrder = true;
+            else
+                (a == "--csv" ? csv : check) = true;
         }
         else if (a == "--pt")
-            pt = parseU32(a, next());
+            cli.pt = parseU32(a, next());
         else if (a == "--ipd")
-            ipd = parseU32(a, next());
+            cli.ipd = parseU32(a, next());
         else if (a == "--distance")
-            distance = parseU32(a, next());
-        else if (a == "--seed") {
-            seed = parseUint(a, next());
-            has_seed = true;
-        }
+            cli.distance = parseU32(a, next());
+        else if (a == "--seed")
+            cli.seed = parseUint(a, next());
         else if (a == "--prefetcher")
-            prefetcher = next();
+            cli.l1Prefetcher = next();
         else if (a == "--l2-prefetcher")
-            l2Prefetcher = next();
+            cli.l2Prefetcher = next();
         else if (a == "--jobs")
             jobs = parseU32(a, next());
         else if (a == "--record-trace")
@@ -449,10 +377,6 @@ main(int argc, char **argv)
         return server::listJobs(serverAddr, std::cout, std::cerr);
 
     if (!submit.empty() || !config.empty()) {
-        // Declarative mode, local (--config) or remote (--submit):
-        // flags become overrides on the file. One shared mapping, so
-        // the two paths cannot drift apart — drift would silently
-        // break the submitted-equals-in-process invariant.
         if (presets.find(',') != std::string::npos) {
             std::fprintf(stderr,
                          "--preset takes a single name with %s; "
@@ -460,30 +384,8 @@ main(int argc, char **argv)
                          submit.empty() ? "--config" : "--submit");
             return 1;
         }
-        CliOverrides cli;
-        if (!appName_.empty())
-            cli.app = appName_;
         if (!presets.empty())
             cli.preset = presets;
-        if (cores)
-            cli.cores = cores;
-        if (has_scale)
-            cli.scale = scale;
-        if (has_seed)
-            cli.seed = seed;
-        if (ooo)
-            cli.outOfOrder = true;
-        if (pt)
-            cli.pt = pt;
-        if (ipd)
-            cli.ipd = ipd;
-        if (distance)
-            cli.distance = distance;
-        if (!prefetcher.empty())
-            cli.l1Prefetcher = prefetcher;
-        if (!l2Prefetcher.empty())
-            cli.l2Prefetcher = l2Prefetcher;
-
         if (!submit.empty()) {
             server::SubmitRequest req;
             req.csv = csv;
@@ -493,141 +395,48 @@ main(int argc, char **argv)
             return server::submitAndWait(serverAddr, submit, req,
                                          std::cout, std::cerr);
         }
-        return runConfigExperiment(config, cli, check, csv, jobs);
     }
 
-    // Flag mode: the pre-config behavior, defaults included.
-    AppId app = AppId::Spmv;
-    std::string tracePath;
-    if (isTraceAppSpec(appName_)) {
-        app = AppId::Trace;
-        tracePath = traceAppPath(appName_);
-        if (tracePath.empty()) {
-            std::fprintf(stderr,
-                         "--app trace:<path> needs a file path\n");
-            return 1;
-        }
-    } else if (!appName_.empty()) {
-        app = parseApp(appName_);
-    }
-    if (presets.empty())
-        presets = "IMP";
-    if (!cores)
-        cores = 64;
-    if (!has_scale)
-        scale = 1.0;
-    if (!has_seed)
-        seed = 42;
-
-    std::vector<ConfigPreset> preset_list;
-    for (const std::string &p : splitCommaList(presets))
-        preset_list.push_back(parsePreset(p));
-    CoreModel model = ooo ? CoreModel::OutOfOrder : CoreModel::InOrder;
-
-    // Workloads, one per software-prefetch flavor any preset needs.
-    WorkloadParams wp;
-    wp.numCores = cores;
-    wp.scale = scale;
-    wp.seed = seed;
-    wp.tracePath = tracePath;
-    std::unique_ptr<Workload> plain, swpf;
-    auto workloadFor = [&](ConfigPreset p) -> Workload & {
-        std::unique_ptr<Workload> &slot =
-            presetWantsSwPrefetch(p) ? swpf : plain;
-        if (!slot) {
-            WorkloadParams params = wp;
-            params.swPrefetch = presetWantsSwPrefetch(p);
-            slot = std::make_unique<Workload>(makeWorkload(app, params));
-        }
-        return *slot;
-    };
-
-    // Commas would split the CSV label column; a per-core list reads
-    // as "imp|stream" instead.
-    auto specTag = [](const std::string &spec) {
-        std::string tag = spec;
-        for (char &ch : tag) {
-            if (ch == ',')
-                ch = '|';
-        }
-        return tag;
-    };
-    // Trace runs are labelled by basename so CSV labels don't depend
-    // on where the trace lives on this machine.
-    std::string appLabel = appName(app);
-    if (app == AppId::Trace) {
-        std::size_t slash = tracePath.find_last_of('/');
-        appLabel += ":" + (slash == std::string::npos
-                               ? tracePath
-                               : tracePath.substr(slash + 1));
-    }
-    auto labelFor = [&](ConfigPreset p) {
-        std::string label = specTag(appLabel) + "/" + presetName(p) +
-                            "/" + std::to_string(cores) + "c" +
-                            (ooo ? "/ooo" : "");
-        if (!prefetcher.empty())
-            label += "/" + specTag(prefetcher);
-        if (!l2Prefetcher.empty())
-            label += "/l2:" + specTag(l2Prefetcher);
-        return label;
-    };
-
+    Experiment exp;
     try {
-        if (!recordTracePath.empty()) {
-            if (preset_list.size() != 1) {
-                std::fprintf(stderr,
-                             "--record-trace takes a single --preset "
-                             "(it only picks the sw-prefetch flavor)\n");
-                return 1;
-            }
-            Workload &w = workloadFor(preset_list[0]);
-            TraceWriteStats st =
-                recordTrace(recordTracePath, w.traces, *w.mem);
-            std::printf("wrote %s: %llu records, %llu memory chunks "
-                        "(%llu bytes before compression)\n",
-                        recordTracePath.c_str(),
-                        static_cast<unsigned long long>(st.recordCount),
-                        static_cast<unsigned long long>(st.memChunkCount),
-                        static_cast<unsigned long long>(st.decodedBytes));
-            return 0;
+        if (!config.empty()) {
+            exp = bindExperiment(ConfigFile::parseFile(config), cli);
+        } else {
+            exp = bindExperiment(
+                flagModeConfig(presets.empty() ? "IMP" : presets), cli);
         }
-
-        if (preset_list.size() == 1) {
-            ConfigPreset preset = preset_list[0];
-            Workload &w = workloadFor(preset);
-            SystemConfig cfg = makePreset(preset, cores, model);
-            applyOverrides(cfg, pt, ipd, distance, prefetcher,
-                           l2Prefetcher, cores);
-
-            System sys(cfg, w.traces, *w.mem);
-            SimStats s = sys.run();
-            if (csv) {
-                writeCsvHeader(std::cout);
-                writeCsvRow(std::cout, labelFor(preset), s);
-            } else {
-                writeReport(std::cout, labelFor(preset), s);
-            }
-            return 0;
-        }
-
-        // Several presets: run in parallel, report CSV rows in order.
-        std::vector<SweepJob> sweep;
-        for (ConfigPreset preset : preset_list) {
-            Workload &w = workloadFor(preset);
-            SystemConfig cfg = makePreset(preset, cores, model);
-            applyOverrides(cfg, pt, ipd, distance, prefetcher,
-                           l2Prefetcher, cores);
-            sweep.push_back(
-                SweepJob{labelFor(preset), cfg, &w.traces, w.mem.get()});
-        }
-        std::vector<SweepResult> results = SweepRunner(jobs).run(sweep);
-        writeCsvHeader(std::cout);
-        for (const SweepResult &r : results)
-            writeCsvRow(std::cout, r.name, r.stats);
+    } catch (const ConfigError &e) {
+        // Flag-mode values all come from the command line, so the
+        // made-up file's line:column would only mislead.
+        if (config.empty())
+            std::fprintf(stderr, "%s: %s\n", e.origin().c_str(),
+                         e.message().c_str());
+        else
+            std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+    if (check) {
+        std::printf("%s: OK (%zu run%s)\n", config.c_str(),
+                    exp.runs.size(), exp.runs.size() == 1 ? "" : "s");
         return 0;
+    }
+    if (!recordTracePath.empty())
+        return recordFlagTrace(exp, recordTracePath);
+
+    // One run prints the full report (unless --csv), several fan out
+    // over the SweepRunner and print CSV — in runExperiment(), the
+    // exact code the job server runs, which is what makes `--submit`
+    // bit-identical.
+    ExperimentRunOptions opt;
+    opt.csv = csv;
+    opt.jobs = jobs;
+    try {
+        runExperiment(exp, std::cout, opt);
     } catch (const TraceError &e) {
-        // Trace replay/recording problems: bad file, bad codec, I/O.
+        // The bind-time probe only reads the header; a trace that
+        // rots past it (or disappears) surfaces here.
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
+    return 0;
 }

@@ -34,8 +34,8 @@ if [ -z "$TIDY" ]; then
     exit 0
 fi
 
-# Only TUs the database knows — bench/ drops out of builds without
-# Google Benchmark, and tidying a file without flags misparses it.
+# Only TUs the database knows — tidying a file without its compile
+# flags (include paths, IMPSIM_SOURCE_DIR, ...) misparses it.
 mapfile -t FILES < <(python3 - "$BUILD_DIR" <<'EOF'
 import json, sys
 entries = json.load(open(sys.argv[1] + "/compile_commands.json"))

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include <arpa/inet.h>
@@ -126,7 +125,7 @@ JobServer::Connection::closeFd()
 }
 
 JobServer::JobServer(JobServerConfig cfg)
-    : cfg_(std::move(cfg)), pool_(cfg_.workers), runner_(pool_.slots()),
+    : cfg_(std::move(cfg)), pool_(cfg_.workers),
       queue_(cfg_.queueCapacity, cfg_.perClientQuota),
       store_(cfg_.resultsDir, cfg_.resultsMaxBytes)
 {
@@ -382,10 +381,6 @@ JobServer::handleSubmit(Connection &conn, LineReader &reader,
     // expand the identical run list.
     job->configText = std::move(text);
     job->submit = req;
-    ServerJob *raw = job.get();
-    job->control.onProgress = [raw](std::size_t done, std::size_t) {
-        raw->done.store(done, std::memory_order_relaxed);
-    };
 
     std::shared_ptr<Connection> self;
     {
@@ -653,37 +648,8 @@ JobServer::executeJob(const std::shared_ptr<ServerJob> &job)
     }
     job->state.store(ServerJob::State::Running);
 
-    bool completed;
     std::string payload;
-    if (job->total > 0 && hasWorkers()) {
-        completed = executeDistributed(job, payload);
-    } else {
-        // Lease a weighted slice of the shared pool for this job; the
-        // allocator rebalances between simulations as jobs come and
-        // go (each progress step releases and re-acquires a slot).
-        std::unique_ptr<WorkerPool::Lease> lease =
-            pool_.lease(static_cast<double>(job->priority));
-        std::ostringstream out;
-        ExperimentRunOptions opt;
-        opt.csv = job->csv;
-        opt.runner = &runner_;
-        opt.control = &job->control;
-        opt.lease = lease.get();
-        try {
-            completed = runExperiment(job->exp, out, opt);
-        } catch (const TraceError &e) {
-            // The SUBMIT-time bind only probed the trace header; a
-            // trace that rots (or vanishes) between bind and run
-            // surfaces here. Cancel the job, don't kill the runner.
-            std::fprintf(stderr, "impsim_serve: job %llu: %s\n",
-                         static_cast<unsigned long long>(job->id),
-                         e.what());
-            completed = false;
-        }
-        lease.reset();
-        payload = out.str();
-    }
-
+    const bool completed = executeRows(job, payload);
     job->exp = Experiment{}; // the bound grid can be large
     job->configText = std::string();
     if (!completed) {
@@ -704,13 +670,6 @@ namespace {
 constexpr std::uint64_t kMaxRowBytes = 4u << 20;
 
 } // namespace
-
-bool
-JobServer::hasWorkers()
-{
-    MutexLock lock(fabricMutex_);
-    return !workers_.empty();
-}
 
 void
 JobServer::handleWorker(const std::shared_ptr<Connection> &conn,
@@ -960,8 +919,8 @@ JobServer::assignPendingLeases()
 }
 
 bool
-JobServer::executeDistributed(const std::shared_ptr<ServerJob> &job,
-                              std::string &payload)
+JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
+                       std::string &payload)
 {
     const std::size_t total = job->total;
     auto dist = std::make_shared<DistJob>();
@@ -1002,7 +961,7 @@ JobServer::executeDistributed(const std::shared_ptr<ServerJob> &job,
                 break;
             }
             if (workers_.empty())
-                break; // local fallback finishes the job
+                break; // the local pool finishes the job
             // Timed wait: CANCEL flips an atomic the fabric is not
             // notified about, so poll it on a short period.
             fabricCv_.wait_for(lock, std::chrono::milliseconds(100));
@@ -1047,8 +1006,9 @@ JobServer::executeDistributed(const std::shared_ptr<ServerJob> &job,
     if (abort)
         return false;
     if (!missing.empty()) {
-        // Every worker is gone: run the missing rows on the local
-        // pool. Progress resumes where the fabric left off.
+        // No worker is left (or none ever registered): run the
+        // missing rows on the local pool. Progress resumes where the
+        // fabric left off.
         ServerJob *raw = job.get();
         const std::size_t base = total - missing.size();
         job->control.onProgress = [raw,
@@ -1059,7 +1019,7 @@ JobServer::executeDistributed(const std::shared_ptr<ServerJob> &job,
             pool_.lease(static_cast<double>(job->priority));
         ExperimentRunOptions opt;
         opt.csv = job->csv;
-        opt.runner = &runner_;
+        opt.jobs = pool_.slots();
         opt.control = &job->control;
         opt.lease = lease.get();
         std::vector<std::string> rows;
@@ -1067,8 +1027,9 @@ JobServer::executeDistributed(const std::shared_ptr<ServerJob> &job,
         try {
             ok = runExperimentRuns(job->exp, missing, opt, rows);
         } catch (const TraceError &e) {
-            // Same window as the local path: the trace passed its
-            // SUBMIT-time header probe but failed to replay.
+            // The SUBMIT-time bind only probed the trace header; a
+            // trace that rots (or vanishes) between bind and run
+            // surfaces here. Cancel the job, don't kill the runner.
             std::fprintf(stderr, "impsim_serve: job %llu: %s\n",
                          static_cast<unsigned long long>(job->id),
                          e.what());

@@ -67,7 +67,8 @@ struct JobServerConfig
     /**
      * Runs per LEASE sub-batch when sweeps are sharded over remote
      * workers — the trade between load-balance granularity and
-     * framing overhead. Local execution ignores it.
+     * framing overhead. Rows left to the local pool run as one batch
+     * whatever this is.
      */
     std::size_t leaseRuns = 4;
 };
@@ -133,17 +134,18 @@ class JobServer
     /** Runs one popped job to a terminal state and delivers it. */
     void executeJob(const std::shared_ptr<ServerJob> &job);
     /**
-     * Runs @p job sharded across the registered remote workers,
-     * falling back to the local pool for whatever runs are missing
-     * when the last worker drops out. On success @p payload holds
-     * the assembled output — byte-identical to a local
-     * runExperiment() because rows are spliced by run index.
-     * @return false iff the job was cancelled (or the server is
-     *         stopping) before every run's row arrived.
+     * Runs @p job's rows: leases go to the registered remote workers,
+     * and whatever rows are still missing once no worker is left (or
+     * none ever registered) run on the local pool. On success
+     * @p payload holds the assembled output — byte-identical to an
+     * in-process runExperiment() because rows are spliced by run
+     * index. A trace that fails to replay locally cancels the job
+     * (its diagnostic goes to stderr).
+     * @return false iff the job was cancelled, failed, or the server
+     *         is stopping before every run's row arrived.
      */
-    bool executeDistributed(const std::shared_ptr<ServerJob> &job,
-                            std::string &payload)
-        IMPSIM_EXCLUDES(fabricMutex_);
+    bool executeRows(const std::shared_ptr<ServerJob> &job,
+                     std::string &payload) IMPSIM_EXCLUDES(fabricMutex_);
     /**
      * Terminal bookkeeping shared by every exit path: archives the
      * job in the store, drops it from the live table, and notifies
@@ -201,7 +203,6 @@ class JobServer
      * so a stalled worker cannot hold it for a send timeout.
      */
     void assignPendingLeases() IMPSIM_EXCLUDES(fabricMutex_);
-    bool hasWorkers() IMPSIM_EXCLUDES(fabricMutex_);
 
     /** The full ERROR frame (header line + payload) for @p message. */
     static std::string errorFrame(std::string message);
@@ -211,7 +212,6 @@ class JobServer
 
     JobServerConfig cfg_;
     WorkerPool pool_;
-    SweepRunner runner_;
     FairJobQueue queue_;
     ResultStore store_;
 

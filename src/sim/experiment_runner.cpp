@@ -1,11 +1,12 @@
 /**
  * @file
- * Experiment execution shared by the CLI, the job server and tests.
+ * Experiment execution shared by every front end (experiment_runner.hpp).
  */
 #include "sim/experiment_runner.hpp"
 
 #include <map>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <tuple>
@@ -13,117 +14,68 @@
 
 #include "common/logging.hpp"
 #include "sim/report.hpp"
-#include "sim/system.hpp"
 #include "workloads/workload.hpp"
 
 namespace impsim {
 
-namespace {
-
-/**
- * One workload per distinct (app, cores, swpf, scale, seed, trace):
- * runs of a sweep share trace generation, whether the whole grid or a
- * leased slice of it executes here.
- */
-class WorkloadCache
+WorkloadParams
+workloadParams(const ExperimentRun &r)
 {
-  public:
-    Workload &
-    get(const ExperimentRun &r)
-    {
-        auto &slot = workloads_[Key{r.app, r.cfg.numCores, r.swPrefetch,
-                                    r.scale, r.seed, r.tracePath}];
-        if (!slot) {
-            WorkloadParams params;
-            params.numCores = r.cfg.numCores;
-            params.swPrefetch = r.swPrefetch;
-            params.scale = r.scale;
-            params.seed = r.seed;
-            params.tracePath = r.tracePath;
-            slot = std::make_unique<Workload>(makeWorkload(r.app, params));
-        }
-        return *slot;
-    }
-
-  private:
-    using Key = std::tuple<AppId, std::uint32_t, bool, double,
-                           std::uint64_t, std::string>;
-    std::map<Key, std::unique_ptr<Workload>> workloads_;
-};
-
-/**
- * Runs a single-run report experiment (the non-CSV shape) to @p os.
- * @return false iff cancelled before the simulation ran.
- */
-bool
-runSingleReport(const ExperimentRun &r, Workload &w, std::ostream &os,
-                const ExperimentRunOptions &opt)
-{
-    SweepControl *ctl = opt.control;
-    if (ctl && ctl->cancelled())
-        return false;
-    // Single-run reports burn a pool slot too — K tiny jobs must
-    // not dodge the partition K sweeps are held to.
-    if (opt.lease && !opt.lease->acquire())
-        return false;
-    if (ctl && ctl->cancelled()) {
-        if (opt.lease)
-            opt.lease->release();
-        return false;
-    }
-    System sys(r.cfg, w.traces, *w.mem);
-    SimStats s = sys.run();
-    if (opt.lease)
-        opt.lease->release();
-    if (ctl && ctl->onProgress)
-        ctl->onProgress(1, 1);
-    writeReport(os, r.label, s);
-    return true;
+    WorkloadParams params;
+    params.numCores = r.cfg.numCores;
+    params.swPrefetch = r.swPrefetch;
+    params.scale = r.scale;
+    params.seed = r.seed;
+    params.tracePath = r.tracePath;
+    return params;
 }
 
-} // namespace
-
 bool
-runExperiment(const Experiment &exp, std::ostream &os,
-              const ExperimentRunOptions &opt)
+simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
+             const ExperimentRunOptions &opt, std::vector<SimStats> &stats)
 {
+    stats.clear();
     SweepControl *ctl = opt.control;
     if (ctl && ctl->cancelled())
         return false;
 
-    WorkloadCache workloads;
-    if (exp.runs.size() == 1 && !opt.csv) {
-        const ExperimentRun &r = exp.runs[0];
-        return runSingleReport(r, workloads.get(r), os, opt);
-    }
-
+    // One workload per distinct (app, cores, swpf, scale, seed,
+    // trace): runs share trace generation, whether the whole grid or
+    // a leased slice of it executes here.
+    using Key = std::tuple<AppId, std::uint32_t, bool, double,
+                           std::uint64_t, std::string>;
+    std::map<Key, std::unique_ptr<Workload>> workloads;
     std::vector<SweepJob> sweep;
-    for (const ExperimentRun &r : exp.runs) {
-        Workload &w = workloads.get(r);
-        sweep.push_back(SweepJob{r.label, r.cfg, &w.traces, w.mem.get()});
+    sweep.reserve(indices.size());
+    for (std::size_t idx : indices) {
+        IMPSIM_CHECK(idx < exp.runs.size(),
+                     "experiment run index out of range");
+        const ExperimentRun &r = exp.runs[idx];
+        auto &w = workloads[Key{r.app, r.cfg.numCores, r.swPrefetch,
+                                r.scale, r.seed, r.tracePath}];
+        if (!w)
+            w = std::make_unique<Workload>(
+                makeWorkload(r.app, workloadParams(r)));
+        sweep.push_back(SweepJob{r.label, r.cfg, &w->traces, w->mem.get()});
     }
     if (ctl && ctl->cancelled())
         return false;
 
-    std::vector<SweepResult> results;
-    if (opt.runner) {
-        results = opt.runner->run(sweep, ctl, opt.lease);
-    } else {
-        results = SweepRunner(opt.jobs).run(sweep, ctl, opt.lease);
-    }
+    // A one-job batch runs on this thread, with the same lease,
+    // cancel and progress steps as any other.
+    std::vector<SweepResult> results =
+        SweepRunner(opt.jobs).run(sweep, ctl, opt.lease);
     if (ctl && ctl->cancelled())
         return false;
     // A batch can also come back short because the pool closed under
-    // it (server shutdown); a partial CSV must never pass as success.
-    for (const SweepResult &r : results) {
+    // it (server shutdown); partial results must never pass as
+    // success.
+    stats.reserve(results.size());
+    for (SweepResult &r : results) {
         if (!r.ran)
             return false;
+        stats.push_back(std::move(r.stats));
     }
-
-    bool with_tlb = experimentUsesTlb(exp);
-    writeCsvHeader(os, with_tlb);
-    for (const SweepResult &r : results)
-        writeCsvRow(os, r.name, r.stats, with_tlb);
     return true;
 }
 
@@ -134,65 +86,40 @@ runExperimentRuns(const Experiment &exp,
                   std::vector<std::string> &rows)
 {
     rows.assign(indices.size(), std::string());
-    SweepControl *ctl = opt.control;
-    if (ctl && ctl->cancelled())
-        return false;
-    for (std::size_t idx : indices)
-        IMPSIM_CHECK(idx < exp.runs.size(),
-                     "experiment run index out of range");
-
-    WorkloadCache workloads;
-    if (exp.runs.size() == 1 && !opt.csv) {
-        // The whole output is one report; only index 0 can be asked
-        // for, and its "row" is the full report.
-        if (indices.empty())
-            return true;
-        const ExperimentRun &r = exp.runs[0];
-        std::ostringstream os;
-        if (!runSingleReport(r, workloads.get(r), os, opt))
-            return false;
-        for (std::string &row : rows)
-            row = os.str();
-        return true;
-    }
-
-    std::vector<SweepJob> sweep;
-    for (std::size_t idx : indices) {
-        const ExperimentRun &r = exp.runs[idx];
-        Workload &w = workloads.get(r);
-        sweep.push_back(SweepJob{r.label, r.cfg, &w.traces, w.mem.get()});
-    }
-    if (ctl && ctl->cancelled())
-        return false;
-
-    std::vector<SweepResult> results;
-    if (opt.runner) {
-        results = opt.runner->run(sweep, ctl, opt.lease);
-    } else {
-        results = SweepRunner(opt.jobs).run(sweep, ctl, opt.lease);
-    }
-    if (ctl && ctl->cancelled())
+    std::vector<SimStats> stats;
+    if (!simulateRuns(exp, indices, opt, stats))
         return false;
     // Row shape is a whole-experiment property, not a per-run one:
     // a worker leasing TLB-off runs out of a mixed sweep must still
     // emit the widened rows the coordinator's header promises.
-    bool with_tlb = experimentUsesTlb(exp);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!results[i].ran)
-            return false;
+    const bool report = exp.runs.size() == 1 && !opt.csv;
+    const bool with_tlb = experimentUsesTlb(exp);
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+        const std::string &label = exp.runs[indices[i]].label;
         std::ostringstream os;
-        writeCsvRow(os, results[i].name, results[i].stats, with_tlb);
+        if (report)
+            writeReport(os, label, stats[i]);
+        else
+            writeCsvRow(os, label, stats[i], with_tlb);
         rows[i] = os.str();
     }
     return true;
 }
 
-std::string
-csvHeader()
+bool
+runExperiment(const Experiment &exp, std::ostream &os,
+              const ExperimentRunOptions &opt)
 {
-    std::ostringstream os;
-    writeCsvHeader(os);
-    return os.str();
+    std::vector<std::size_t> all(exp.runs.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<std::string> rows;
+    if (!runExperimentRuns(exp, all, opt, rows))
+        return false;
+    if (exp.runs.size() != 1 || opt.csv)
+        os << csvHeader(exp);
+    for (const std::string &row : rows)
+        os << row;
+    return true;
 }
 
 std::string

@@ -1,10 +1,12 @@
 /**
  * @file
- * Executes a bound Experiment and writes its report or CSV.
+ * Executes a bound Experiment: its runs' statistics, report or CSV.
  *
- * This is the single code path behind every driver — `impsim_cli
- * --config`, the job server, and the golden-regression tests — so
- * their outputs are bit-identical by construction: one expanded run
+ * simulateRuns() is the only code that turns an Experiment into
+ * simulations. Every front end goes through it: `impsim_cli` flag mode
+ * and `--config`, the job server (local pool and fabric worker
+ * alike), the bench_* figure binaries and the tests. Their outputs
+ * are therefore bit-identical by construction: one expanded run
  * prints the full report (unless forced to CSV), several fan out over
  * a SweepRunner and print one CSV row per run, in sweep order.
  */
@@ -23,10 +25,8 @@ struct ExperimentRunOptions
 {
     /** Force CSV output even for a single expanded run. */
     bool csv = false;
-    /** Worker count when no shared runner is given; 0 = hardware. */
+    /** SweepRunner worker count; 0 = hardware. */
     unsigned jobs = 0;
-    /** Shared pool (the job server's); nullptr builds a private one. */
-    const SweepRunner *runner = nullptr;
     /** Cancellation + progress hooks; nullptr = not cancellable. */
     SweepControl *control = nullptr;
     /**
@@ -37,11 +37,27 @@ struct ExperimentRunOptions
     WorkerPool::Lease *lease = nullptr;
 };
 
+/** The workload parameters (inputs, trace file) of run @p r. */
+WorkloadParams workloadParams(const ExperimentRun &r);
+
+/**
+ * Simulates the runs of @p exp named by @p indices (each <
+ * exp.runs.size()); stats[i] receives run indices[i]'s statistics.
+ * Workloads are built once per distinct (app, cores, swpf, scale,
+ * seed, trace path) among those runs. opt.csv is ignored.
+ *
+ * @return false iff cancelled through opt.control (or the pool
+ *         closed) before every indexed run finished; @p stats is
+ *         unspecified then.
+ */
+bool simulateRuns(const Experiment &exp,
+                  const std::vector<std::size_t> &indices,
+                  const ExperimentRunOptions &opt,
+                  std::vector<SimStats> &stats);
+
 /**
  * Runs every expanded run of @p exp and writes the report (single
- * run) or CSV header + rows (sweep) to @p os. Workloads are built
- * once per distinct (app, cores, swpf, scale, seed, trace path)
- * within the experiment.
+ * run) or CSV header + rows (sweep) to @p os.
  *
  * @return false iff the experiment was cancelled through
  *         opt.control before completing — nothing is written to
@@ -51,15 +67,14 @@ bool runExperiment(const Experiment &exp, std::ostream &os,
                    const ExperimentRunOptions &opt = {});
 
 /**
- * Runs only the runs of @p exp named by @p indices (each <
- * exp.runs.size()) and returns the output bytes per run:
- * rows[i] holds exactly what run indices[i] contributes to the full
- * experiment's output — one CSV row normally, or the whole report for
- * a single-run report experiment (exp.runs.size() == 1 and !opt.csv).
- * Concatenating csvHeader() with every run's row in run order is
- * therefore byte-identical to runExperiment() on the whole experiment
- * — the splice the distributed sweep fabric is built on
- * (docs/job_server.md).
+ * Runs only the runs of @p exp named by @p indices and returns the
+ * output bytes per run: rows[i] holds exactly what run indices[i]
+ * contributes to the full experiment's output — one CSV row normally,
+ * or the whole report for a single-run report experiment
+ * (exp.runs.size() == 1 and !opt.csv). Concatenating csvHeader(exp)
+ * with every run's row in run order is therefore byte-identical to
+ * runExperiment() on the whole experiment — the splice the job
+ * server assembles results with (docs/job_server.md).
  *
  * @return false iff cancelled through opt.control (or the pool
  *         closed) before every indexed run finished; @p rows is
@@ -70,13 +85,10 @@ bool runExperimentRuns(const Experiment &exp,
                        const ExperimentRunOptions &opt,
                        std::vector<std::string> &rows);
 
-/** The CSV header line runExperiment() writes ahead of sweep rows. */
-std::string csvHeader();
-
 /**
- * The header for @p exp specifically: the TLB column group is present
- * iff some run has the TLB model enabled (experimentUsesTlb). Fabric
- * coordinators must use this overload so spliced worker rows line up.
+ * The CSV header runExperiment() writes ahead of @p exp's rows: the
+ * TLB column group is present iff some run has the TLB model enabled
+ * (experimentUsesTlb), so spliced worker rows line up.
  */
 std::string csvHeader(const Experiment &exp);
 

@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/config_file.hpp"
@@ -26,6 +28,8 @@
 #include "server/job_server.hpp"
 #include "server/protocol.hpp"
 #include "sim/experiment_runner.hpp"
+#include "workloads/trace_io.hpp"
+#include "workloads/workload.hpp"
 
 namespace impsim {
 namespace {
@@ -889,6 +893,80 @@ TEST(JobServer, ResultStoreSurvivesServerRestart)
             (resultsDir + "/" + std::to_string(i) + ".csv").c_str());
     }
     ::rmdir(resultsDir.c_str());
+}
+
+TEST(JobServer, CorruptTraceBodyWithNoWorkersCancelsTheJob)
+{
+    // A trace whose header probes clean but whose body is corrupt
+    // passes SUBMIT-time binding, then fails replay on the server's
+    // own pool — the failure path every row run locally shares. The
+    // job must end cancelled: no RESULT, no hang, no dead runner.
+    WorkloadParams params;
+    params.numCores = 4;
+    params.scale = 0.05;
+    params.seed = 42;
+    Workload direct = makeWorkload(AppId::Spmv, params);
+    const std::string trace = "/tmp/impsim_badtrace_" +
+                              std::to_string(::getpid()) + ".imptrace";
+    recordTrace(trace, direct.traces, *direct.mem);
+    {
+        // Flip one byte well past the 40-byte header.
+        std::fstream f(trace,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        f.seekg(4096);
+        char b = 0;
+        f.read(&b, 1);
+        b = static_cast<char>(b ^ 0x5a);
+        f.seekp(4096);
+        f.write(&b, 1);
+    }
+
+    JobServerConfig cfg;
+    cfg.socketPath = tempSocketPath("badtrace");
+    cfg.workers = 2;
+    JobServer srv(cfg);
+    srv.start();
+
+    RawClient client(cfg.socketPath);
+    // A hung job must fail the test, not stall it until the ctest
+    // timeout: bound every read.
+    timeval timeout{};
+    timeout.tv_sec = 120;
+    ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    std::string reply = client.submit("[system]\n"
+                                      "app   = \"trace:" +
+                                      trace +
+                                      "\"\n"
+                                      "cores = 4\n"
+                                      "[sweep]\n"
+                                      "preset = [Base, IMP]\n");
+    ASSERT_EQ(reply.rfind("QUEUED ", 0), 0u) << reply; // header probes OK
+    const std::string id = reply.substr(7);
+    bool cancelled = false;
+    std::string line;
+    while (!cancelled && client.readLine(line)) {
+        ASSERT_EQ(line.rfind("RESULT", 0), std::string::npos)
+            << "a corrupt trace body must cancel the job: " << line;
+        cancelled = line == "CANCELLED " + id;
+    }
+    EXPECT_TRUE(cancelled);
+    ASSERT_TRUE(client.awaitState(id, "cancelled"));
+
+    // The server shrugs it off: a healthy sweep submitted afterwards
+    // still matches the in-process bytes.
+    const std::string good = writeTempConfig("good", longSweepText(4));
+    std::ostringstream out, err;
+    EXPECT_EQ(server::submitAndWait(cfg.socketPath, good, SubmitRequest{},
+                                    out, err),
+              0)
+        << err.str();
+    EXPECT_EQ(out.str(), inProcessOutput(good));
+    srv.stop();
+    std::remove(good.c_str());
+    std::remove(trace.c_str());
 }
 
 TEST(JobServer, StopWithInFlightWorkShutsDownPromptly)

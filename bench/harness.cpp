@@ -87,8 +87,12 @@ presetRun(AppId app, ConfigPreset preset, std::uint32_t cores)
 Grid
 Grid::load(const std::string &config)
 {
+    // %.17g round-trips the double exactly, so the grid runs at the
+    // same scale as presetRun()'s runs.
+    char scale[40];
+    std::snprintf(scale, sizeof(scale), "scale=%.17g", benchScale());
     CliOverrides cli;
-    cli.scale = benchScale();
+    cli.settings.push_back(scale);
     try {
         return Grid(bindExperiment(
             ConfigFile::parseFile(IMPSIM_SOURCE_DIR "/examples/configs/" +

@@ -138,19 +138,15 @@ parseU32(const std::string &flag, const std::string &value)
         flag, value, std::numeric_limits<std::uint32_t>::max()));
 }
 
-double
-parseDouble(const std::string &flag, const std::string &value)
+/** The config key impsim_cli flag @p flag overrides, or nullptr. */
+const ConfigKey *
+findFlag(const std::string &flag)
 {
-    try {
-        std::size_t used = 0;
-        double v = std::stod(value, &used);
-        if (used == value.size())
-            return v;
-    } catch (const std::exception &) {
+    for (const ConfigKey &k : configKeys()) {
+        if (k.flag && flag == k.flag)
+            return &k;
     }
-    std::fprintf(stderr, "%s needs a number, got '%s'\n", flag.c_str(),
-                 value.c_str());
-    std::exit(1);
+    return nullptr;
 }
 
 /**
@@ -269,36 +265,17 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        else if (a == "--app")
-            cli.app = next();
         else if (a == "--preset")
             presets = next();
-        else if (a == "--cores")
-            cli.cores = parseU32(a, next());
-        else if (a == "--scale")
-            cli.scale = parseDouble(a, next());
-        else if (a == "--ooo" || a == "--csv" || a == "--check") {
+        else if (a == "--csv" || a == "--check") {
             if (has_inline) {
                 std::fprintf(stderr, "%s takes no value\n", a.c_str());
                 return 1;
             }
-            if (a == "--ooo")
-                cli.outOfOrder = true;
-            else
-                (a == "--csv" ? csv : check) = true;
+            (a == "--csv" ? csv : check) = true;
         }
-        else if (a == "--pt")
-            cli.pt = parseU32(a, next());
-        else if (a == "--ipd")
-            cli.ipd = parseU32(a, next());
-        else if (a == "--distance")
-            cli.distance = parseU32(a, next());
         else if (a == "--seed")
             cli.seed = parseUint(a, next());
-        else if (a == "--prefetcher")
-            cli.l1Prefetcher = next();
-        else if (a == "--l2-prefetcher")
-            cli.l2Prefetcher = next();
         else if (a == "--jobs")
             jobs = parseU32(a, next());
         else if (a == "--record-trace")
@@ -313,6 +290,17 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "--bench-reps must be positive\n");
                 return 1;
             }
+        }
+        else if (const ConfigKey *key = findFlag(a)) {
+            // Every other override flag is "name=value" text that the
+            // binder reads and checks like a config value.
+            if (key->flagValue && has_inline) {
+                std::fprintf(stderr, "%s takes no value\n", a.c_str());
+                return 1;
+            }
+            cli.settings.push_back(key->name() + "=" +
+                                   (key->flagValue ? key->flagValue
+                                                   : next()));
         }
         else {
             std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
@@ -385,7 +373,7 @@ main(int argc, char **argv)
             return 1;
         }
         if (!presets.empty())
-            cli.preset = presets;
+            cli.settings.push_back("preset=" + presets);
         if (!submit.empty()) {
             server::SubmitRequest req;
             req.csv = csv;

@@ -5,6 +5,9 @@
 #include "common/config_file.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -180,9 +183,13 @@ struct LineCursor
     }
 };
 
-/** Classifies a bare (unquoted) token into bool / int / float / string. */
+/**
+ * Classifies a bare (unquoted) token into bool / int / float / string.
+ * @p origin, @p line and @p col locate it in diagnostics.
+ */
 ConfigValue
-classifyBare(LineCursor &c, const std::string &token, int line, int col)
+classifyBare(const std::string &origin, const std::string &token, int line,
+             int col)
 {
     ConfigValue v;
     v.line = line;
@@ -200,7 +207,7 @@ classifyBare(LineCursor &c, const std::string &token, int line, int col)
             v.integer = std::stoll(token);
             return v;
         } catch (const std::exception &) {
-            throw ConfigError(c.origin, line, col,
+            throw ConfigError(origin, line, col,
                               "integer '" + token + "' is out of range");
         }
     }
@@ -314,7 +321,7 @@ parseValue(LineCursor &c, bool in_list)
     std::string token = c.text.substr(start, c.i - start);
     if (token.empty())
         throw ConfigError(c.origin, c.lineno, col, "missing value");
-    return classifyBare(c, token, c.lineno, col);
+    return classifyBare(c.origin, token, c.lineno, col);
 }
 
 } // namespace
@@ -406,7 +413,8 @@ ConfigFile::parseFile(const std::string &path)
     return parseString(buf.str(), path);
 }
 
-// ---- Binder -----------------------------------------------------------
+
+// ---- The key table ----------------------------------------------------
 
 namespace {
 
@@ -423,31 +431,18 @@ struct Path
     }
 };
 
+struct Row;
+
 /** One value to apply, with the origin its diagnostics should cite. */
 struct Setting
 {
     std::string origin;
     Path path;
     ConfigValue value;
-};
-
-/** One [sweep] axis. */
-struct Axis
-{
-    std::string displayKey; ///< As written in the file (label suffix).
-    Path path;
-    ConfigValue values; ///< Kind::List, non-empty.
-};
-
-/** The scalar experiment state a file binds onto. */
-struct Bound
-{
-    SystemConfig cfg;
-    AppId app = AppId::Spmv;
-    double scale = 1.0;
-    std::uint64_t seed = 42;
-    /** Resolved trace path (app == AppId::Trace only). */
-    std::string tracePath;
+    const Row *row = nullptr; ///< The table row `path` names.
+    /** The N of a "core.N"/"l2slice.N" key. */
+    std::optional<std::uint32_t> index = {};
+    bool fromCli = false; ///< A CliOverrides override.
 };
 
 /**
@@ -464,11 +459,80 @@ struct TraceProbeCache
     std::map<std::string, std::string> bad; ///< path -> diagnostic
 };
 
+/**
+ * The run being bound plus what only the binder needs; the extra
+ * state is sliced off when the run is emitted.
+ */
+struct Bound : ExperimentRun
+{
+    /** The resolved [system] preset; none labels the run "custom". */
+    std::optional<ConfigPreset> preset;
+    /** Run-label tags of [prefetch] l1/l2 overrides. */
+    std::string tags;
+    TraceProbeCache *traces = nullptr;
+};
+
+/**
+ * What a key's value must be; checkValue() enforces it before the
+ * setter runs, so setters read the ConfigValue as its type says.
+ */
+struct ValueType
+{
+    enum Kind
+    {
+        // The int kinds come first.
+        Uint32,   ///< int in 0 .. 2^32-1
+        Positive, ///< int in 1 .. 2^32-1
+        Pow2,     ///< power of two in 1 .. kLineSize (a sector size)
+        Uint64,   ///< non-negative int
+        Number,   ///< int or float
+        Bool,
+        String,
+        Enum, ///< a string among names, listed in the C++ enum's order
+        List, ///< its setter checks the list's shape
+    };
+    Kind kind;
+    std::vector<std::string> names = {}; ///< Enum only.
+};
+
+/** How the binder treats a key beyond checking and setting it. */
+enum class Role
+{
+    Plain,
+    /**
+     * Picks the base config, so it is resolved before that is built:
+     * CLI > sweep axis > file, and only the winning value is checked.
+     * Named by the base run label.
+     */
+    Structural,
+    /** Named by the base run label ("app/preset/Nc"). */
+    Labelled,
+};
+
+/** Sets a checked value; throws for values outside the key's domain. */
+using Setter = void (*)(Bound &b, const Setting &s);
+
+struct Row
+{
+    ConfigKey id;
+    ValueType type;
+    Setter set;
+    Role role = Role::Plain;
+};
+
 std::string
 pathBaseName(const std::string &path)
 {
     std::size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/** Run labels are CSV cells, so commas read as '|'. */
+std::string
+commasToPipes(std::string s)
+{
+    std::replace(s.begin(), s.end(), ',', '|');
+    return s;
 }
 
 /**
@@ -491,98 +555,6 @@ resolveTracePath(const std::string &origin, const std::string &rel)
     return origin.substr(0, slash + 1) + rel;
 }
 
-const std::vector<std::pair<std::string, std::vector<std::string>>> &
-schema()
-{
-    static const std::vector<std::pair<std::string, std::vector<std::string>>>
-        s{
-            {"system",
-             {"preset", "app", "cores", "scale", "seed", "core_model",
-              "dram_model", "partial"}},
-            {"imp",
-             {"pt_entries", "ipd_entries", "base_addr_slots", "shifts",
-              "max_prefetch_distance", "max_indirect_ways",
-              "max_indirect_levels", "stream_threshold",
-              "indirect_threshold", "indirect_counter_max",
-              "backoff_initial", "backoff_max", "pc_resync",
-              "secondary_indirection"}},
-            {"gp",
-             {"samples", "l1_sector_bytes", "l2_sector_bytes",
-              "dram_min_bytes"}},
-            {"stream",
-             {"degree", "max_stride_bytes", "l2_degree",
-              "l2_max_stride_bytes"}},
-            {"ghb", {"history_entries", "index_entries", "degree"}},
-            {"tlb",
-             {"enable", "l1_entries", "l1_ways", "l2_entries", "l2_ways",
-              "l2_latency", "page_bytes", "prefetch_cross",
-              "imp_prefetch_cross", "stream_prefetch_cross",
-              "ghb_prefetch_cross"}},
-            {"prefetch", {"l1", "l2"}},
-        };
-    return s;
-}
-
-/** Bare sweep-axis names mirroring the CLI flags. */
-const std::vector<std::pair<std::string, Path>> &
-sweepAliases()
-{
-    static const std::vector<std::pair<std::string, Path>> a{
-        {"app", {"system", "app"}},
-        {"cores", {"system", "cores"}},
-        {"distance", {"imp", "max_prefetch_distance"}},
-        {"ipd", {"imp", "ipd_entries"}},
-        {"l1", {"prefetch", "l1"}},
-        {"l2", {"prefetch", "l2"}},
-        {"page", {"tlb", "page_bytes"}},
-        {"preset", {"system", "preset"}},
-        {"pt", {"imp", "pt_entries"}},
-        {"scale", {"system", "scale"}},
-        {"seed", {"system", "seed"}},
-    };
-    return a;
-}
-
-/** True if @p key is the N of a "core.N" / "l2slice.N" prefetch key. */
-bool
-parseIndexedKey(const std::string &key, const char *prefix,
-                std::uint32_t &index)
-{
-    std::size_t plen = std::strlen(prefix);
-    if (key.compare(0, plen, prefix) != 0 || key.size() == plen)
-        return false;
-    std::string digits = key.substr(plen);
-    if (digits.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    try {
-        unsigned long v = std::stoul(digits);
-        if (v > std::numeric_limits<std::uint32_t>::max())
-            return false;
-        index = static_cast<std::uint32_t>(v);
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-bool
-knownKey(const Path &p)
-{
-    if (p.section == "prefetch") {
-        std::uint32_t n = 0;
-        if (parseIndexedKey(p.key, "core.", n) ||
-            parseIndexedKey(p.key, "l2slice.", n))
-            return true;
-    }
-    for (const auto &sec : schema()) {
-        if (sec.first != p.section)
-            continue;
-        return std::find(sec.second.begin(), sec.second.end(), p.key) !=
-               sec.second.end();
-    }
-    return false;
-}
-
 [[noreturn]] void
 failAt(const Setting &s, const std::string &message)
 {
@@ -595,112 +567,78 @@ describeKey(const Setting &s)
     return "[" + s.path.section + "] " + s.path.key;
 }
 
-std::int64_t
-asInt(const Setting &s)
-{
-    if (s.value.kind != ConfigValue::Kind::Int)
-        failAt(s, describeKey(s) + " needs an int, got " +
-                      s.value.kindName() + " '" + s.value.toString() + "'");
-    return s.value.integer;
-}
-
 std::uint32_t
-asU32(const Setting &s, std::uint32_t min = 0)
+u32(const Setting &s)
 {
-    std::int64_t v = asInt(s);
-    if (v < static_cast<std::int64_t>(min) ||
-        v > std::numeric_limits<std::uint32_t>::max())
-        failAt(s, describeKey(s) + " is out of range (" +
-                      std::to_string(min) + " .. 2^32-1), got " +
-                      std::to_string(v));
-    return static_cast<std::uint32_t>(v);
+    return static_cast<std::uint32_t>(s.value.integer);
 }
 
-std::uint64_t
-asU64(const Setting &s)
+/** The index of @p s's value among its Enum row's names. */
+std::size_t
+choiceOf(const Setting &s)
 {
-    std::int64_t v = asInt(s);
-    if (v < 0)
-        failAt(s, describeKey(s) + " needs a non-negative int, got " +
-                      std::to_string(v));
-    return static_cast<std::uint64_t>(v);
+    const std::vector<std::string> &names = s.row->type.names;
+    auto it = std::find(names.begin(), names.end(), s.value.text);
+    if (it != names.end())
+        return static_cast<std::size_t>(it - names.begin());
+    // Short lists read as a sentence, longer ones as a list.
+    std::vector<std::string> head(names.begin(), names.end() - 1);
+    const std::string &last = names.back();
+    failAt(s, describeKey(s) + " must be " +
+                  (head.size() < 3
+                       ? join(head) + " or " + last + ","
+                       : "one of " + join(head) + ", " + last + ";") +
+                  " got '" + s.value.text + "'");
 }
 
-double
-asDouble(const Setting &s)
+// ---- Setters with checks beyond the value type ------------------------
+
+void
+setCores(Bound &b, const Setting &s)
 {
-    if (s.value.kind == ConfigValue::Kind::Int)
-        return static_cast<double>(s.value.integer);
-    if (s.value.kind != ConfigValue::Kind::Float)
-        failAt(s, describeKey(s) + " needs a number, got " +
-                      s.value.kindName() + " '" + s.value.toString() + "'");
-    return s.value.real;
+    std::uint32_t cores = u32(s);
+    std::uint32_t d = isqrt(cores);
+    if (d * d != cores)
+        failAt(s, describeKey(s) +
+                      " must be a perfect square (mesh NoC), got " +
+                      std::to_string(cores));
+    b.cfg.numCores = cores;
 }
 
-bool
-asBool(const Setting &s)
+void
+setPreset(Bound &b, const Setting &s)
 {
-    if (s.value.kind != ConfigValue::Kind::Bool)
-        failAt(s, describeKey(s) + " needs true or false, got " +
-                      s.value.kindName() + " '" + s.value.toString() + "'");
-    return s.value.boolean;
-}
-
-std::string
-asString(const Setting &s)
-{
-    if (s.value.kind != ConfigValue::Kind::String)
-        failAt(s, describeKey(s) + " needs a string, got " +
-                      s.value.kindName() + " '" + s.value.toString() + "'");
-    return s.value.text;
-}
-
-TlbPfCross
-asCrossPolicy(const Setting &s)
-{
-    std::string name = asString(s);
-    if (name == "default")
-        return TlbPfCross::Default;
-    if (name == "drop")
-        return TlbPfCross::Drop;
-    if (name == "stall")
-        return TlbPfCross::Stall;
-    if (name == "translate")
-        return TlbPfCross::Translate;
-    failAt(s, describeKey(s) + " must be one of default, drop, stall, "
-                  "translate; got '" + name + "'");
-    return TlbPfCross::Default; // Unreachable.
-}
-
-AppId
-asApp(const Setting &s)
-{
-    std::string name = asString(s);
-    AppId app;
-    if (!parseAppName(name, app)) {
+    ConfigPreset preset;
+    if (!parsePresetName(s.value.text, preset)) {
         std::vector<std::string> known;
-        for (AppId a : kAllApps)
-            known.push_back(appName(a));
-        known.push_back("trace:<path>");
-        failAt(s, "unknown app '" + name + "' (known: " + join(known) + ")");
+        for (ConfigPreset p : allPresets())
+            known.push_back(presetName(p));
+        failAt(s, "unknown preset '" + s.value.text + "' (known: " +
+                      join(known) + ")");
     }
-    return app;
+    b.preset = preset;
 }
 
 /**
- * Binds a [system] app setting — a built-in kernel name or a
- * "trace:<path>" replay spec. Trace specs are validated on the spot:
- * the header is probed (memoized in @p traces across sweep
- * combinations) and its core count checked against this
- * combination's, so every problem surfaces at bind time with the app
- * key's location.
+ * [system] app: a built-in kernel name or a "trace:<path>" replay
+ * spec. Trace specs are validated on the spot: the header is probed
+ * (memoized across sweep combinations) and its core count checked
+ * against this combination's, so every problem surfaces at bind time
+ * with the app key's location.
  */
 void
-applyAppSetting(const Setting &s, Bound &b, TraceProbeCache &traces)
+setApp(Bound &b, const Setting &s)
 {
-    std::string name = asString(s);
+    const std::string &name = s.value.text;
     if (!isTraceAppSpec(name)) {
-        b.app = asApp(s);
+        if (!parseAppName(name, b.app)) {
+            std::vector<std::string> known;
+            for (AppId a : kAllApps)
+                known.push_back(appName(a));
+            known.push_back("trace:<path>");
+            failAt(s, "unknown app '" + name + "' (known: " + join(known) +
+                          ")");
+        }
         b.tracePath.clear();
         return;
     }
@@ -708,6 +646,7 @@ applyAppSetting(const Setting &s, Bound &b, TraceProbeCache &traces)
     if (rel.empty())
         failAt(s, "trace app spec needs a file: trace:<path>");
     std::string path = resolveTracePath(s.origin, rel);
+    TraceProbeCache &traces = *b.traces;
     auto okIt = traces.ok.find(path);
     if (okIt == traces.ok.end()) {
         auto badIt = traces.bad.find(path);
@@ -734,51 +673,35 @@ applyAppSetting(const Setting &s, Bound &b, TraceProbeCache &traces)
     b.tracePath = std::move(path);
 }
 
-ConfigPreset
-asPreset(const Setting &s)
+void
+setScale(Bound &b, const Setting &s)
 {
-    std::string name = asString(s);
-    ConfigPreset preset;
-    if (!parsePresetName(name, preset)) {
-        std::vector<std::string> known;
-        for (ConfigPreset p : allPresets())
-            known.push_back(presetName(p));
-        failAt(s, "unknown preset '" + name + "' (known: " + join(known) +
-                      ")");
-    }
-    return preset;
-}
-
-/** Checks every engine name of a registry spec ("imp+stream"). */
-std::string
-asSpec(const Setting &s)
-{
-    std::string spec = asString(s);
-    for (const std::string &name : splitPrefetcherSpec(spec)) {
-        if (name.empty())
-            continue; // blank segments are ignored by the registry
-        if (!PrefetcherRegistry::instance().known(name))
-            failAt(s, "unknown prefetcher '" + name + "' in spec '" + spec +
-                          "' (known: " +
-                          join(PrefetcherRegistry::instance().names()) + ")");
-    }
-    return spec;
-}
-
-std::uint32_t
-asPow2Sector(const Setting &s)
-{
-    std::uint32_t v = asU32(s, 1);
-    if (!isPow2(v) || v > kLineSize)
-        failAt(s, describeKey(s) + " must be a power of two <= " +
-                      std::to_string(kLineSize) + ", got " +
-                      std::to_string(v));
-    return v;
+    double scale = s.value.kind == ConfigValue::Kind::Int
+                       ? static_cast<double>(s.value.integer)
+                       : s.value.real;
+    if (scale <= 0.0)
+        failAt(s, describeKey(s) + " must be positive");
+    // NaN and infinity pass the sign check but would size the
+    // workload's arrays through an undefined conversion.
+    if (!std::isfinite(scale))
+        failAt(s, describeKey(s) + " must be finite, got " +
+                      s.value.toString());
+    b.scale = scale;
 }
 
 void
-applyShifts(const Setting &s, ImpConfig &imp)
+setPageBytes(Bound &b, const Setting &s)
 {
+    if (s.value.integer != 4096 && s.value.integer != 2097152)
+        failAt(s, describeKey(s) + " must be 4096 or 2097152 "
+                                   "(4 KiB or 2 MiB pages)");
+    b.cfg.tlb.pageBytes = static_cast<std::uint64_t>(s.value.integer);
+}
+
+void
+setShifts(Bound &b, const Setting &s)
+{
+    ImpConfig &imp = b.cfg.imp;
     if (s.value.kind != ConfigValue::Kind::List ||
         s.value.items.size() != imp.shifts.size())
         failAt(s, describeKey(s) + " needs a list of exactly " +
@@ -795,248 +718,463 @@ applyShifts(const Setting &s, ImpConfig &imp)
     }
 }
 
+/** Checks every engine name of a registry spec ("imp+stream"). */
 void
-setPerCoreSpec(const Setting &s, std::vector<std::string> &specs,
-               std::uint32_t index, std::uint32_t cores)
+checkSpec(const Setting &s, const std::string &spec)
 {
-    if (index >= cores)
-        failAt(s, describeKey(s) + " is out of range for a " +
-                      std::to_string(cores) + "-core machine");
-    if (specs.size() < index + 1)
-        specs.resize(index + 1);
-    specs[index] = asSpec(s);
-}
-
-/**
- * Applies one non-structural setting. The structural keys
- * (system.preset / cores / core_model) are resolved before the base
- * SystemConfig exists and must be skipped by the caller. @p traces
- * memoizes trace-header probes across sweep combinations.
- */
-void
-applySetting(const Setting &s, Bound &b, TraceProbeCache &traces)
-{
-    const std::string &sec = s.path.section;
-    const std::string &key = s.path.key;
-    SystemConfig &cfg = b.cfg;
-
-    if (sec == "system") {
-        if (key == "app")
-            applyAppSetting(s, b, traces);
-        else if (key == "scale") {
-            b.scale = asDouble(s);
-            if (b.scale <= 0.0)
-                failAt(s, "[system] scale must be positive");
-        } else if (key == "seed")
-            b.seed = asU64(s);
-        else if (key == "dram_model") {
-            std::string v = asString(s);
-            if (v == "simple")
-                cfg.dramModel = DramModelKind::Simple;
-            else if (v == "ddr3")
-                cfg.dramModel = DramModelKind::Ddr3;
-            else
-                failAt(s, "[system] dram_model must be simple or ddr3, "
-                          "got '" +
-                              v + "'");
-        } else if (key == "partial") {
-            std::string v = asString(s);
-            if (v == "off")
-                cfg.partial = PartialMode::Off;
-            else if (v == "noc")
-                cfg.partial = PartialMode::NocOnly;
-            else if (v == "noc+dram")
-                cfg.partial = PartialMode::NocAndDram;
-            else
-                failAt(s, "[system] partial must be off, noc or noc+dram, "
-                          "got '" +
-                              v + "'");
-        }
-        return;
-    }
-    if (sec == "imp") {
-        ImpConfig &imp = cfg.imp;
-        if (key == "pt_entries")
-            imp.ptEntries = asU32(s, 1);
-        else if (key == "ipd_entries")
-            imp.ipdEntries = asU32(s, 1);
-        else if (key == "base_addr_slots")
-            imp.baseAddrSlots = asU32(s, 1);
-        else if (key == "shifts")
-            applyShifts(s, imp);
-        else if (key == "max_prefetch_distance")
-            imp.maxPrefetchDistance = asU32(s, 1);
-        else if (key == "max_indirect_ways")
-            imp.maxIndirectWays = asU32(s);
-        else if (key == "max_indirect_levels")
-            imp.maxIndirectLevels = asU32(s);
-        else if (key == "stream_threshold")
-            imp.streamThreshold = asU32(s, 1);
-        else if (key == "indirect_threshold")
-            imp.indirectThreshold = asU32(s, 1);
-        else if (key == "indirect_counter_max")
-            imp.indirectCounterMax = asU32(s, 1);
-        else if (key == "backoff_initial")
-            imp.backoffInitial = asU32(s, 1);
-        else if (key == "backoff_max")
-            imp.backoffMax = asU32(s, 1);
-        else if (key == "pc_resync")
-            imp.pcResync = asBool(s);
-        else if (key == "secondary_indirection")
-            imp.secondaryIndirection = asBool(s);
-        return;
-    }
-    if (sec == "gp") {
-        if (key == "samples")
-            cfg.gp.samples = asU32(s, 1);
-        else if (key == "l1_sector_bytes")
-            cfg.gp.l1SectorBytes = asPow2Sector(s);
-        else if (key == "l2_sector_bytes")
-            cfg.gp.l2SectorBytes = asPow2Sector(s);
-        else if (key == "dram_min_bytes")
-            cfg.gp.dramMinBytes = asU32(s, 1);
-        return;
-    }
-    if (sec == "stream") {
-        if (key == "degree")
-            cfg.stream.prefetchDegree = asU32(s, 1);
-        else if (key == "max_stride_bytes")
-            cfg.stream.maxStrideBytes = asU32(s, 1);
-        else if (key == "l2_degree")
-            cfg.l2Stream.prefetchDegree = asU32(s, 1);
-        else if (key == "l2_max_stride_bytes")
-            cfg.l2Stream.maxStrideBytes = asU32(s, 1);
-        return;
-    }
-    if (sec == "ghb") {
-        if (key == "history_entries")
-            cfg.ghb.historyEntries = asU32(s, 1);
-        else if (key == "index_entries")
-            cfg.ghb.indexEntries = asU32(s, 1);
-        else if (key == "degree")
-            cfg.ghb.degree = asU32(s, 1);
-        return;
-    }
-    if (sec == "tlb") {
-        TlbConfig &tlb = cfg.tlb;
-        if (key == "enable")
-            tlb.enable = asBool(s);
-        else if (key == "l1_entries")
-            tlb.l1Entries = asU32(s, 1);
-        else if (key == "l1_ways")
-            tlb.l1Ways = asU32(s, 1);
-        else if (key == "l2_entries")
-            tlb.l2Entries = asU32(s, 1);
-        else if (key == "l2_ways")
-            tlb.l2Ways = asU32(s, 1);
-        else if (key == "l2_latency")
-            tlb.l2LatencyCycles = asU32(s, 1);
-        else if (key == "page_bytes") {
-            tlb.pageBytes = asU64(s);
-            if (tlb.pageBytes != 4096 && tlb.pageBytes != 2097152)
-                failAt(s, "[tlb] page_bytes must be 4096 or 2097152 "
-                          "(4 KiB or 2 MiB pages)");
-        } else if (key == "prefetch_cross")
-            tlb.prefetchCross = asCrossPolicy(s);
-        else if (key == "imp_prefetch_cross")
-            tlb.impCross = asCrossPolicy(s);
-        else if (key == "stream_prefetch_cross")
-            tlb.streamCross = asCrossPolicy(s);
-        else if (key == "ghb_prefetch_cross")
-            tlb.ghbCross = asCrossPolicy(s);
-        return;
-    }
-    if (sec == "prefetch") {
-        std::uint32_t index = 0;
-        if (key == "l1")
-            cfg.prefetcherSpec = asSpec(s);
-        else if (key == "l2")
-            cfg.l2PrefetcherSpec = asSpec(s);
-        else if (parseIndexedKey(key, "core.", index))
-            setPerCoreSpec(s, cfg.corePrefetcherSpecs, index, cfg.numCores);
-        else if (parseIndexedKey(key, "l2slice.", index))
-            setPerCoreSpec(s, cfg.l2SlicePrefetcherSpecs, index,
-                           cfg.numCores);
-        return;
+    for (const std::string &name : splitPrefetcherSpec(spec)) {
+        if (name.empty())
+            continue; // blank segments are ignored by the registry
+        if (!PrefetcherRegistry::instance().known(name))
+            failAt(s, "unknown prefetcher '" + name + "' in spec '" + spec +
+                          "' (known: " +
+                          join(PrefetcherRegistry::instance().names()) + ")");
     }
 }
 
 /**
- * Applies a CLI SPEC[,SPEC...] override: one stack sets the global
- * spec, several are assigned round-robin (the CLI's heterogeneous
- * syntax). Any per-core/per-slice file overrides are cleared — a CLI
- * override replaces the file's whole per-level assignment.
+ * [prefetch] l1 or l2 into @p global. A file or axis value is one
+ * spec. An override is SPEC[,SPEC...]: one stack sets @p global,
+ * several are assigned round-robin into @p perCore; either way the
+ * file's per-core keys are dropped, and the list is tagged on the run
+ * label as "/<tag><list>".
  */
 void
-applyCliSpecList(const char *flag, const std::string &list,
-                 std::uint32_t cores, std::string &global,
-                 std::vector<std::string> &per_core)
+setSpecs(Bound &b, const Setting &s, std::string &global,
+         std::vector<std::string> &perCore, const char *tag)
 {
+    const std::string &list = s.value.text;
+    if (!s.fromCli) {
+        checkSpec(s, list);
+        global = list;
+        return;
+    }
     std::vector<std::string> stacks = splitCommaList(list);
     for (const std::string &stack : stacks) {
         if (stack.empty())
-            throw ConfigError(kCliOrigin, 0, 0,
-                              std::string(flag) +
-                                  " has an empty stack in '" + list + "'");
-        Setting probe{kCliOrigin, {"prefetch", flag}, ConfigValue{}};
-        probe.value.kind = ConfigValue::Kind::String;
-        probe.value.text = stack;
-        asSpec(probe);
+            failAt(s, std::string(s.row->id.flag) +
+                          " has an empty stack in '" + list + "'");
+        checkSpec(s, stack);
     }
-    per_core.clear();
+    perCore.clear();
     if (stacks.size() == 1) {
         global = stacks[0];
+    } else {
+        perCore.resize(b.cfg.numCores);
+        for (std::uint32_t c = 0; c < b.cfg.numCores; ++c)
+            perCore[c] = stacks[c % stacks.size()];
+    }
+    b.tags += "/" + std::string(tag) + commasToPipes(list);
+}
+
+/** [prefetch] core.N / l2slice.N; apply() has checked N < cores. */
+void
+setPerCoreSpec(const Setting &s, std::vector<std::string> &specs)
+{
+    checkSpec(s, s.value.text);
+    if (specs.size() < *s.index + 1)
+        specs.resize(*s.index + 1);
+    specs[*s.index] = s.value.text;
+}
+
+/**
+ * The config key table: one row per key, in section order. The
+ * structural rows come first, in the order they are resolved.
+ */
+const std::vector<Row> &
+rows()
+{
+    using T = ValueType;
+    static const T cross{T::Enum, {"default", "drop", "stall", "translate"}};
+    static const std::vector<Row> table = {
+        {{"system", "cores", "cores", "--cores"}, {T::Positive}, setCores,
+         Role::Structural},
+        {{"system", "core_model", nullptr, "--ooo", "ooo"},
+         {T::Enum, {"inorder", "ooo"}},
+         [](auto &b, auto &s) {
+             b.cfg.coreModel = static_cast<CoreModel>(choiceOf(s));
+         },
+         Role::Structural},
+        {{"system", "preset", "preset", "--preset"}, {T::String}, setPreset,
+         Role::Structural},
+        {{"system", "app", "app", "--app"}, {T::String}, setApp,
+         Role::Labelled},
+        {{"system", "scale", "scale", "--scale"}, {T::Number}, setScale},
+        {{"system", "seed", "seed", "--seed"}, {T::Uint64},
+         [](auto &b, auto &s) {
+             b.seed = static_cast<std::uint64_t>(s.value.integer);
+         }},
+        {{"system", "dram_model"}, {T::Enum, {"simple", "ddr3"}},
+         [](auto &b, auto &s) {
+             b.cfg.dramModel = static_cast<DramModelKind>(choiceOf(s));
+         }},
+        {{"system", "partial"}, {T::Enum, {"off", "noc", "noc+dram"}},
+         [](auto &b, auto &s) {
+             b.cfg.partial = static_cast<PartialMode>(choiceOf(s));
+         }},
+        // [imp]: Table 2
+        {{"imp", "pt_entries", "pt", "--pt"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.ptEntries = u32(s); }},
+        {{"imp", "ipd_entries", "ipd", "--ipd"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.ipdEntries = u32(s); }},
+        {{"imp", "base_addr_slots"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.baseAddrSlots = u32(s); }},
+        {{"imp", "shifts"}, {T::List}, setShifts},
+        {{"imp", "max_prefetch_distance", "distance", "--distance"},
+         {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.maxPrefetchDistance = u32(s); }},
+        {{"imp", "max_indirect_ways"}, {T::Uint32},
+         [](auto &b, auto &s) { b.cfg.imp.maxIndirectWays = u32(s); }},
+        {{"imp", "max_indirect_levels"}, {T::Uint32},
+         [](auto &b, auto &s) { b.cfg.imp.maxIndirectLevels = u32(s); }},
+        {{"imp", "stream_threshold"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.streamThreshold = u32(s); }},
+        {{"imp", "indirect_threshold"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.indirectThreshold = u32(s); }},
+        {{"imp", "indirect_counter_max"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.indirectCounterMax = u32(s); }},
+        {{"imp", "backoff_initial"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.backoffInitial = u32(s); }},
+        {{"imp", "backoff_max"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.imp.backoffMax = u32(s); }},
+        {{"imp", "pc_resync"}, {T::Bool},
+         [](auto &b, auto &s) { b.cfg.imp.pcResync = s.value.boolean; }},
+        {{"imp", "secondary_indirection"}, {T::Bool},
+         [](auto &b, auto &s) {
+             b.cfg.imp.secondaryIndirection = s.value.boolean;
+         }},
+        // [gp]: the Granularity Predictor (Table 2)
+        {{"gp", "samples"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.gp.samples = u32(s); }},
+        {{"gp", "l1_sector_bytes"}, {T::Pow2},
+         [](auto &b, auto &s) { b.cfg.gp.l1SectorBytes = u32(s); }},
+        {{"gp", "l2_sector_bytes"}, {T::Pow2},
+         [](auto &b, auto &s) { b.cfg.gp.l2SectorBytes = u32(s); }},
+        {{"gp", "dram_min_bytes"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.gp.dramMinBytes = u32(s); }},
+        // [stream]: L1 engines, then the L2-attached ones
+        {{"stream", "degree"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.stream.prefetchDegree = u32(s); }},
+        {{"stream", "max_stride_bytes"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.stream.maxStrideBytes = u32(s); }},
+        {{"stream", "l2_degree"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.l2Stream.prefetchDegree = u32(s); }},
+        {{"stream", "l2_max_stride_bytes"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.l2Stream.maxStrideBytes = u32(s); }},
+        {{"ghb", "history_entries"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.ghb.historyEntries = u32(s); }},
+        {{"ghb", "index_entries"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.ghb.indexEntries = u32(s); }},
+        {{"ghb", "degree"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.ghb.degree = u32(s); }},
+        {{"tlb", "enable"}, {T::Bool},
+         [](auto &b, auto &s) { b.cfg.tlb.enable = s.value.boolean; }},
+        {{"tlb", "l1_entries"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.tlb.l1Entries = u32(s); }},
+        {{"tlb", "l1_ways"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.tlb.l1Ways = u32(s); }},
+        {{"tlb", "l2_entries"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.tlb.l2Entries = u32(s); }},
+        {{"tlb", "l2_ways"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.tlb.l2Ways = u32(s); }},
+        {{"tlb", "l2_latency"}, {T::Positive},
+         [](auto &b, auto &s) { b.cfg.tlb.l2LatencyCycles = u32(s); }},
+        {{"tlb", "page_bytes", "page"}, {T::Uint64}, setPageBytes},
+        {{"tlb", "prefetch_cross"}, cross,
+         [](auto &b, auto &s) {
+             b.cfg.tlb.prefetchCross = static_cast<TlbPfCross>(choiceOf(s));
+         }},
+        {{"tlb", "imp_prefetch_cross"}, cross,
+         [](auto &b, auto &s) {
+             b.cfg.tlb.impCross = static_cast<TlbPfCross>(choiceOf(s));
+         }},
+        {{"tlb", "stream_prefetch_cross"}, cross,
+         [](auto &b, auto &s) {
+             b.cfg.tlb.streamCross = static_cast<TlbPfCross>(choiceOf(s));
+         }},
+        {{"tlb", "ghb_prefetch_cross"}, cross,
+         [](auto &b, auto &s) {
+             b.cfg.tlb.ghbCross = static_cast<TlbPfCross>(choiceOf(s));
+         }},
+        // [prefetch]: engine attachment
+        {{"prefetch", "l1", "l1", "--prefetcher"}, {T::String},
+         [](auto &b, auto &s) {
+             setSpecs(b, s, b.cfg.prefetcherSpec, b.cfg.corePrefetcherSpecs,
+                      "");
+         }},
+        {{"prefetch", "l2", "l2", "--l2-prefetcher"}, {T::String},
+         [](auto &b, auto &s) {
+             setSpecs(b, s, b.cfg.l2PrefetcherSpec,
+                      b.cfg.l2SlicePrefetcherSpecs, "l2:");
+         }},
+        {{"prefetch", "core.N"}, {T::String},
+         [](auto &b, auto &s) {
+             setPerCoreSpec(s, b.cfg.corePrefetcherSpecs);
+         }},
+        {{"prefetch", "l2slice.N"}, {T::String},
+         [](auto &b, auto &s) {
+             setPerCoreSpec(s, b.cfg.l2SlicePrefetcherSpecs);
+         }},
+    };
+    return table;
+}
+
+// ---- Reading the table ------------------------------------------------
+
+/**
+ * True if @p key is one of @p row's keys: the key itself, or for an
+ * indexed row ("core.N") its prefix and a 32-bit N, kept in @p index.
+ */
+bool
+matchKey(const Row &row, const std::string &key,
+         std::optional<std::uint32_t> &index)
+{
+    const std::string pattern = row.id.key;
+    const std::size_t n = pattern.size() - 1; // the prefix, if indexed
+    if (pattern.size() < 2 || pattern.compare(n - 1, 2, ".N") != 0)
+        return key == pattern;
+    if (key.size() == n || key.compare(0, n, pattern, 0, n) != 0 ||
+        key.find_first_not_of("0123456789", n) != std::string::npos)
+        return false;
+    errno = 0;
+    unsigned long long v = std::strtoull(key.c_str() + n, nullptr, 10);
+    if (errno == ERANGE || v > std::numeric_limits<std::uint32_t>::max())
+        return false;
+    index = static_cast<std::uint32_t>(v);
+    return true;
+}
+
+/** Points @p s at the row its path names. @return false if none does. */
+bool
+resolve(Setting &s)
+{
+    for (const Row &r : rows()) {
+        if (s.path.section == r.id.section &&
+            matchKey(r, s.path.key, s.index)) {
+            s.row = &r;
+            return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * Resolves a [sweep] axis or override name — "section.key" or a row's
+ * alias — to a path. @return false for a bare name that is no alias.
+ */
+bool
+resolveName(const std::string &name, Path &out)
+{
+    std::size_t dot = name.find('.');
+    if (dot != std::string::npos) {
+        out = Path{name.substr(0, dot), name.substr(dot + 1)};
+        return true;
+    }
+    for (const Row &r : rows()) {
+        if (r.id.alias && name == r.id.alias) {
+            out = Path{r.id.section, r.id.key};
+            return true;
+        }
+    }
+    return false;
+}
+
+/** The row CliOverrides::seed overrides. */
+const Row &
+seedRow()
+{
+    static const Row &row = *std::find_if(
+        rows().begin(), rows().end(),
+        [](const Row &r) { return std::strcmp(r.id.key, "seed") == 0; });
+    return row;
+}
+
+/**
+ * Throws unless @p s's value is of the kind its row's type needs and,
+ * with @p ranges, within the type's range. Enum names are checked by
+ * the setter, through choiceOf().
+ */
+void
+checkValue(const Setting &s, bool ranges)
+{
+    using K = ConfigValue::Kind;
+    const ValueType::Kind type = s.row->type.kind;
+    const K kind = s.value.kind;
+    const char *needs = nullptr;
+    if (type <= ValueType::Uint64 && kind != K::Int)
+        needs = "an int";
+    else if (type == ValueType::Number && kind != K::Int &&
+             kind != K::Float)
+        needs = "a number";
+    else if (type == ValueType::Bool && kind != K::Bool)
+        needs = "true or false";
+    else if ((type == ValueType::String || type == ValueType::Enum) &&
+             kind != K::String)
+        needs = "a string";
+    if (needs)
+        failAt(s, describeKey(s) + " needs " + needs + ", got " +
+                      s.value.kindName() + " '" + s.value.toString() + "'");
+    if (!ranges || type > ValueType::Uint64)
+        return;
+    const std::int64_t v = s.value.integer;
+    if (type == ValueType::Uint64) {
+        if (v < 0)
+            failAt(s, describeKey(s) + " needs a non-negative int, got " +
+                          std::to_string(v));
         return;
     }
-    per_core.resize(cores);
-    for (std::uint32_t c = 0; c < cores; ++c)
-        per_core[c] = stacks[c % stacks.size()];
+    const int min = type == ValueType::Uint32 ? 0 : 1;
+    if (v < min || v > std::numeric_limits<std::uint32_t>::max())
+        failAt(s, describeKey(s) + " is out of range (" +
+                      std::to_string(min) + " .. 2^32-1), got " +
+                      std::to_string(v));
+    if (type == ValueType::Pow2 && (!isPow2(v) || v > kLineSize))
+        failAt(s, describeKey(s) + " must be a power of two <= " +
+                      std::to_string(kLineSize) + ", got " +
+                      std::to_string(v));
 }
 
-/** Makes a synthetic Setting carrying a CLI override value. */
-Setting
-cliSetting(const Path &path, ConfigValue value)
+/**
+ * Checks @p s against its row — a per-core key's N first, then the
+ * value — and runs the row's setter on @p b.
+ */
+void
+apply(const Setting &s, Bound &b)
 {
-    value.line = 0;
-    value.column = 0;
-    return Setting{kCliOrigin, path, std::move(value)};
+    if (s.index && *s.index >= b.cfg.numCores)
+        failAt(s, describeKey(s) + " is out of range for a " +
+                      std::to_string(b.cfg.numCores) + "-core machine");
+    checkValue(s, true);
+    s.row->set(b, s);
 }
 
-ConfigValue
-intValue(std::int64_t v)
-{
-    ConfigValue cv;
-    cv.kind = ConfigValue::Kind::Int;
-    cv.integer = v;
-    return cv;
-}
-
-ConfigValue
-stringValue(std::string v)
-{
-    ConfigValue cv;
-    cv.kind = ConfigValue::Kind::String;
-    cv.text = std::move(v);
-    return cv;
-}
-
-ConfigValue
-floatValue(double v)
-{
-    ConfigValue cv;
-    cv.kind = ConfigValue::Kind::Float;
-    cv.real = v;
-    return cv;
-}
-
+/**
+ * Points @p s at the key override @p name names: resolved like a
+ * [sweep] axis name, and one an impsim_cli flag overrides.
+ * @return false for any other name.
+ */
 bool
-isStructural(const Path &p)
+resolveOverride(const std::string &name, Setting &s)
 {
-    return p.section == "system" &&
-           (p.key == "preset" || p.key == "cores" || p.key == "core_model");
+    s.origin = kCliOrigin;
+    s.fromCli = true;
+    return resolveName(name, s.path) && resolve(s) && s.row->id.flag;
 }
+
+/**
+ * Reads override text as a value of @p row's type: strings verbatim,
+ * anything else like an unquoted config value.
+ */
+ConfigValue
+overrideValue(const Row &row, const std::string &text)
+{
+    if (text.empty() || row.type.kind == ValueType::String ||
+        row.type.kind == ValueType::Enum) {
+        ConfigValue v;
+        v.text = text;
+        return v;
+    }
+    return classifyBare(kCliOrigin, text, 0, 0);
+}
+
+/**
+ * @p cli's text overrides as settings citing the command line, one
+ * per key with a later one winning (as a repeated flag does), in
+ * table order.
+ */
+std::vector<Setting>
+cliSettings(const CliOverrides &cli)
+{
+    std::vector<Setting> out;
+    for (const std::string &text : cli.settings) {
+        Setting s;
+        std::size_t eq = text.find('=');
+        if (eq == std::string::npos ||
+            !resolveOverride(text.substr(0, eq), s))
+            throw ConfigError(kCliOrigin, 0, 0,
+                              "override '" + text +
+                                  "' names no overridable key");
+        s.value = overrideValue(*s.row, text.substr(eq + 1));
+        auto same =
+            std::find_if(out.begin(), out.end(),
+                         [&](const Setting &o) { return o.path == s.path; });
+        if (same != out.end())
+            *same = std::move(s);
+        else
+            out.push_back(std::move(s));
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Setting &a, const Setting &b) {
+                         return a.row < b.row;
+                     });
+    return out;
+}
+
+/** One [sweep] axis. */
+struct Axis
+{
+    std::string displayKey; ///< As written in the file (label suffix).
+    Setting key;            ///< Origin and resolved key; no value.
+    ConfigValue values;     ///< Kind::List, non-empty.
+};
 
 } // namespace
+
+std::string
+ConfigKey::name() const
+{
+    return alias ? alias : std::string(section) + "." + key;
+}
+
+const std::vector<ConfigKey> &
+configKeys()
+{
+    static const std::vector<ConfigKey> keys = [] {
+        std::vector<ConfigKey> out;
+        for (const Row &r : rows())
+            out.push_back(r.id);
+        return out;
+    }();
+    return keys;
+}
+
+std::string
+addOverride(CliOverrides &cli, const std::string &name,
+            const std::string &value)
+{
+    Setting s;
+    if (!resolveOverride(name, s))
+        return "names no overridable key";
+    if (s.row == &seedRow()) {
+        // Typed: digits only, the full uint64 range.
+        errno = 0;
+        unsigned long long seed = std::strtoull(value.c_str(), nullptr, 10);
+        if (value.empty() ||
+            value.find_first_not_of("0123456789") != std::string::npos ||
+            errno == ERANGE)
+            return describeKey(s) + " needs an int in 0 .. 2^64-1, got '" +
+                   value + "'";
+        cli.seed = seed;
+        return {};
+    }
+    try {
+        s.value = overrideValue(*s.row, value);
+        checkValue(s, false);
+    } catch (const ConfigError &e) {
+        return e.message();
+    }
+    cli.settings.push_back(name + "=" + value);
+    return {};
+}
+
+std::vector<std::string>
+overrideTexts(const CliOverrides &cli)
+{
+    std::vector<std::string> out = cli.settings;
+    if (cli.seed)
+        out.push_back(seedRow().id.name() + "=" + std::to_string(*cli.seed));
+    return out;
+}
 
 std::vector<std::string>
 splitCommaList(const std::string &s)
@@ -1052,32 +1190,37 @@ splitCommaList(const std::string &s)
     }
 }
 
+// ---- Binder -----------------------------------------------------------
+
 Experiment
 bindExperiment(const ConfigFile &file, const CliOverrides &cli)
 {
     const std::string &origin = file.origin();
 
-    // 1. Reject unknown sections and keys up front, with locations.
+    // 1. Resolve every section and key against the table, rejecting
+    //    unknown ones up front, with locations.
+    std::vector<std::string> sections;
+    for (const Row &r : rows()) {
+        if (sections.empty() || sections.back() != r.id.section)
+            sections.push_back(r.id.section);
+    }
+    sections.push_back("sweep");
+    std::vector<Setting> file_settings;
     for (const ConfigSection &sec : file.sections()) {
-        bool known_section = sec.name == "sweep";
-        for (const auto &entry : schema())
-            known_section = known_section || entry.first == sec.name;
-        if (!known_section) {
-            std::vector<std::string> known;
-            for (const auto &entry : schema())
-                known.push_back(entry.first);
-            known.push_back("sweep");
+        if (std::find(sections.begin(), sections.end(), sec.name) ==
+            sections.end())
             throw ConfigError(origin, sec.line, 0,
                               "unknown section [" + sec.name +
-                                  "] (known: " + join(known) + ")");
-        }
+                                  "] (known: " + join(sections) + ")");
         if (sec.name == "sweep")
             continue; // axis keys are validated below
         for (const ConfigEntry &e : sec.entries) {
-            if (!knownKey(Path{sec.name, e.key}))
+            Setting s{origin, Path{sec.name, e.key}, e.value};
+            if (!resolve(s))
                 throw ConfigError(origin, e.value.line, 0,
                                   "unknown key '" + e.key + "' in [" +
                                       sec.name + "]");
+            file_settings.push_back(std::move(s));
         }
     }
 
@@ -1087,31 +1230,20 @@ bindExperiment(const ConfigFile &file, const CliOverrides &cli)
         for (const ConfigEntry &e : sweep->entries) {
             Axis axis;
             axis.displayKey = e.key;
-            std::size_t dot = e.key.find('.');
-            if (dot != std::string::npos) {
-                axis.path = Path{e.key.substr(0, dot),
-                                 e.key.substr(dot + 1)};
-            } else {
-                bool found = false;
-                for (const auto &alias : sweepAliases()) {
-                    if (alias.first == e.key) {
-                        axis.path = alias.second;
-                        found = true;
-                        break;
-                    }
+            axis.key.origin = origin;
+            if (!resolveName(e.key, axis.key.path)) {
+                std::vector<std::string> names;
+                for (const Row &r : rows()) {
+                    if (r.id.alias)
+                        names.push_back(r.id.alias);
                 }
-                if (!found) {
-                    std::vector<std::string> names;
-                    for (const auto &alias : sweepAliases())
-                        names.push_back(alias.first);
-                    throw ConfigError(
-                        origin, e.value.line, 0,
-                        "unknown sweep axis '" + e.key +
-                            "' (use section.key or one of: " + join(names) +
-                            ")");
-                }
+                std::sort(names.begin(), names.end());
+                throw ConfigError(origin, e.value.line, 0,
+                                  "unknown sweep axis '" + e.key +
+                                      "' (use section.key or one of: " +
+                                      join(names) + ")");
             }
-            if (!knownKey(axis.path))
+            if (!resolve(axis.key))
                 throw ConfigError(origin, e.value.line, 0,
                                   "sweep axis '" + e.key +
                                       "' names no known knob");
@@ -1121,7 +1253,7 @@ bindExperiment(const ConfigFile &file, const CliOverrides &cli)
                                   "sweep axis '" + e.key +
                                       "' needs a non-empty list");
             for (const Axis &prev : axes) {
-                if (prev.path == axis.path)
+                if (prev.key.path == axis.key.path)
                     throw ConfigError(origin, e.value.line, 0,
                                       "sweep axis '" + e.key +
                                           "' repeats axis '" +
@@ -1133,64 +1265,18 @@ bindExperiment(const ConfigFile &file, const CliOverrides &cli)
     }
 
     // 3. CLI overrides as settings; any matching sweep axis collapses.
-    std::vector<Setting> cli_settings;
-    if (cli.app)
-        cli_settings.push_back(
-            cliSetting(Path{"system", "app"}, stringValue(*cli.app)));
-    if (cli.preset)
-        cli_settings.push_back(
-            cliSetting(Path{"system", "preset"}, stringValue(*cli.preset)));
-    if (cli.cores)
-        cli_settings.push_back(
-            cliSetting(Path{"system", "cores"}, intValue(*cli.cores)));
-    if (cli.scale)
-        cli_settings.push_back(
-            cliSetting(Path{"system", "scale"}, floatValue(*cli.scale)));
-    // --seed is applied directly below (a uint64 cannot round-trip
-    // through the parser's int64 values), but still collapses a
-    // swept seed axis like any other override.
-    if (cli.outOfOrder)
-        cli_settings.push_back(
-            cliSetting(Path{"system", "core_model"},
-                       stringValue(*cli.outOfOrder ? "ooo" : "inorder")));
-    if (cli.pt)
-        cli_settings.push_back(
-            cliSetting(Path{"imp", "pt_entries"}, intValue(*cli.pt)));
-    if (cli.ipd)
-        cli_settings.push_back(
-            cliSetting(Path{"imp", "ipd_entries"}, intValue(*cli.ipd)));
-    if (cli.distance)
-        cli_settings.push_back(
-            cliSetting(Path{"imp", "max_prefetch_distance"},
-                       intValue(*cli.distance)));
-    if (cli.l1Prefetcher)
-        cli_settings.push_back(cliSetting(Path{"prefetch", "l1"},
-                                          stringValue(*cli.l1Prefetcher)));
-    if (cli.l2Prefetcher)
-        cli_settings.push_back(cliSetting(Path{"prefetch", "l2"},
-                                          stringValue(*cli.l2Prefetcher)));
-    axes.erase(std::remove_if(
-                   axes.begin(), axes.end(),
-                   [&](const Axis &axis) {
-                       if (cli.seed && axis.path == Path{"system", "seed"})
-                           return true;
-                       for (const Setting &s : cli_settings) {
-                           if (s.path == axis.path)
-                               return true;
-                       }
-                       return false;
-                   }),
+    const std::vector<Setting> cli_settings = cliSettings(cli);
+    axes.erase(std::remove_if(axes.begin(), axes.end(),
+                              [&](const Axis &axis) {
+                                  if (cli.seed && axis.key.row == &seedRow())
+                                      return true;
+                                  for (const Setting &s : cli_settings) {
+                                      if (s.path == axis.key.path)
+                                          return true;
+                                  }
+                                  return false;
+                              }),
                axes.end());
-
-    // 4. File scalars, in file order.
-    std::vector<Setting> file_settings;
-    for (const ConfigSection &sec : file.sections()) {
-        if (sec.name == "sweep")
-            continue;
-        for (const ConfigEntry &e : sec.entries)
-            file_settings.push_back(
-                Setting{origin, Path{sec.name, e.key}, e.value});
-    }
 
     std::size_t total = 1;
     for (const Axis &axis : axes) {
@@ -1202,138 +1288,68 @@ bindExperiment(const ConfigFile &file, const CliOverrides &cli)
         total *= n;
     }
 
-    // 5. Expand: the first declared axis varies slowest.
+    // 4. Expand: the first declared axis varies slowest.
     Experiment exp;
     TraceProbeCache traces; // one header probe per file, not per combo
     std::vector<std::size_t> idx(axes.size(), 0);
     for (std::size_t combo = 0; combo < total; ++combo) {
         std::vector<Setting> axis_settings;
-        for (std::size_t a = 0; a < axes.size(); ++a)
-            axis_settings.push_back(Setting{origin, axes[a].path,
-                                            axes[a].values.items[idx[a]]});
-
-        // Structural resolution: CLI > this combination > file scalar.
-        auto structural = [&](const char *key) -> const Setting * {
-            Path p{"system", key};
-            for (const Setting &s : cli_settings)
-                if (s.path == p)
-                    return &s;
-            for (const Setting &s : axis_settings)
-                if (s.path == p)
-                    return &s;
-            for (const Setting &s : file_settings)
-                if (s.path == p)
-                    return &s;
-            return nullptr;
-        };
-
-        std::uint32_t cores = 64;
-        if (const Setting *s = structural("cores")) {
-            cores = asU32(*s, 1);
-            std::uint32_t d = isqrt(cores);
-            if (d * d != cores)
-                failAt(*s, "[system] cores must be a perfect square "
-                           "(mesh NoC), got " +
-                               std::to_string(cores));
+        for (std::size_t a = 0; a < axes.size(); ++a) {
+            axis_settings.push_back(axes[a].key);
+            axis_settings.back().value = axes[a].values.items[idx[a]];
         }
-        CoreModel model = CoreModel::InOrder;
-        if (const Setting *s = structural("core_model")) {
-            std::string v = asString(*s);
-            if (v == "inorder")
-                model = CoreModel::InOrder;
-            else if (v == "ooo")
-                model = CoreModel::OutOfOrder;
-            else
-                failAt(*s, "[system] core_model must be inorder or ooo, "
-                           "got '" +
-                               v + "'");
-        }
-        bool has_preset = false;
-        ConfigPreset preset = ConfigPreset::Baseline;
-        if (const Setting *s = structural("preset")) {
-            preset = asPreset(*s);
-            has_preset = true;
-        }
+        const std::array<const std::vector<Setting> *, 3> by_precedence{
+            &cli_settings, &axis_settings, &file_settings};
 
         Bound b;
-        if (has_preset) {
-            b.cfg = makePreset(preset, cores, model);
-        } else {
-            b.cfg.numCores = cores;
-            b.cfg.coreModel = model;
-        }
-
-        for (const Setting &s : file_settings) {
-            if (!isStructural(s.path))
-                applySetting(s, b, traces);
-        }
-        for (const Setting &s : axis_settings) {
-            if (!isStructural(s.path))
-                applySetting(s, b, traces);
-        }
-        for (const Setting &s : cli_settings) {
-            if (isStructural(s.path))
+        b.traces = &traces;
+        // Structural keys pick the base config: CLI > this combination
+        // > file scalar, and only the winner is checked.
+        for (const Row &r : rows()) {
+            if (r.role != Role::Structural)
                 continue;
-            if (s.path == Path{"prefetch", "l1"}) {
-                applyCliSpecList("--prefetcher", s.value.text, cores,
-                                 b.cfg.prefetcherSpec,
-                                 b.cfg.corePrefetcherSpecs);
-            } else if (s.path == Path{"prefetch", "l2"}) {
-                applyCliSpecList("--l2-prefetcher", s.value.text, cores,
-                                 b.cfg.l2PrefetcherSpec,
-                                 b.cfg.l2SlicePrefetcherSpecs);
-            } else {
-                applySetting(s, b, traces);
+            for (const std::vector<Setting> *list : by_precedence) {
+                auto s = std::find_if(
+                    list->begin(), list->end(),
+                    [&](const Setting &o) { return o.row == &r; });
+                if (s != list->end()) {
+                    apply(*s, b);
+                    break;
+                }
+            }
+        }
+        if (b.preset)
+            b.cfg = makePreset(*b.preset, b.cfg.numCores, b.cfg.coreModel);
+        // Everything else lowest precedence first, so the last wins.
+        for (auto list = by_precedence.rbegin(); list != by_precedence.rend();
+             ++list) {
+            for (const Setting &s : **list) {
+                if (s.row->role != Role::Structural)
+                    apply(s, b);
             }
         }
         if (cli.seed)
             b.seed = *cli.seed;
 
-        ExperimentRun run;
-        run.cfg = b.cfg;
-        run.app = b.app;
-        run.scale = b.scale;
-        run.seed = b.seed;
-        run.tracePath = b.tracePath;
-        run.swPrefetch = has_preset && presetWantsSwPrefetch(preset);
+        b.swPrefetch = b.preset && presetWantsSwPrefetch(*b.preset);
         // Trace runs are labelled by basename so CSVs don't depend on
-        // where the trace lives on this machine; commas would split
-        // the label column.
+        // where the trace lives on this machine.
         std::string appLabel = appName(b.app);
-        if (b.app == AppId::Trace) {
-            appLabel += ":" + pathBaseName(b.tracePath);
-            for (char &ch : appLabel) {
-                if (ch == ',')
-                    ch = '|';
-            }
-        }
-        run.label = appLabel + "/" +
-                    (has_preset ? presetName(preset) : "custom") + "/" +
-                    std::to_string(cores) + "c" +
-                    (model == CoreModel::OutOfOrder ? "/ooo" : "");
+        if (b.app == AppId::Trace)
+            appLabel = commasToPipes(appLabel + ":" +
+                                     pathBaseName(b.tracePath));
+        b.label = appLabel + "/" +
+                  (b.preset ? presetName(*b.preset) : "custom") + "/" +
+                  std::to_string(b.cfg.numCores) + "c" +
+                  (b.cfg.coreModel == CoreModel::OutOfOrder ? "/ooo" : "");
         for (std::size_t a = 0; a < axes.size(); ++a) {
-            const Path &p = axes[a].path;
-            if (p.section == "system" &&
-                (p.key == "app" || p.key == "preset" || p.key == "cores" ||
-                 p.key == "core_model"))
+            if (axes[a].key.row->role != Role::Plain)
                 continue; // already part of the base label
-            run.label += "/" + axes[a].displayKey + "=" +
-                         axes[a].values.items[idx[a]].toString();
+            b.label += "/" + axes[a].displayKey + "=" +
+                       axes[a].values.items[idx[a]].toString();
         }
-        // Tag CLI engine overrides like flag mode does; commas would
-        // split the CSV label column, so lists read as "imp|stream".
-        auto specTag = [](std::string tag) {
-            for (char &ch : tag) {
-                if (ch == ',')
-                    ch = '|';
-            }
-            return tag;
-        };
-        if (cli.l1Prefetcher)
-            run.label += "/" + specTag(*cli.l1Prefetcher);
-        if (cli.l2Prefetcher)
-            run.label += "/l2:" + specTag(*cli.l2Prefetcher);
-        exp.runs.push_back(std::move(run));
+        b.label += b.tags; // CLI engine overrides, as flag mode tags them
+        exp.runs.push_back(std::move(b));
 
         // Odometer step, last axis fastest.
         for (std::size_t a = axes.size(); a-- > 0;) {

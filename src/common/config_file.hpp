@@ -10,8 +10,15 @@
  * reference with a worked example per section is docs/config_format.md;
  * the prefetcher spec grammar is docs/prefetcher_specs.md.
  *
+ * One table, configKeys(), holds every key: its section and name, its
+ * short name (the [sweep] alias and override name), the impsim_cli
+ * flag that overrides it, and — inside config_file.cpp — its value
+ * type and setter. The file binder, [sweep] axes, CLI override flags
+ * and SUBMIT/LEASE override tokens all read it, so adding a key is
+ * one row.
+ *
  * Precedence, lowest to highest: preset defaults < file keys < CLI
- * flags (CliOverrides). A CLI override of a swept key collapses that
+ * overrides (CliOverrides). An override of a swept key collapses that
  * sweep axis to the single overridden value.
  */
 #ifndef IMPSIM_COMMON_CONFIG_FILE_HPP
@@ -118,26 +125,67 @@ class ConfigFile
     std::vector<ConfigSection> sections_;
 };
 
+/** One row of the config key table, as the binder's callers see it. */
+struct ConfigKey
+{
+    const char *section;
+    /** Key within the section; "core.N"/"l2slice.N" stand for any N. */
+    const char *key;
+    /** Short name: the key's [sweep] alias and override name. */
+    const char *alias = nullptr;
+    /** The impsim_cli flag that overrides this key. */
+    const char *flag = nullptr;
+    /** The value a valueless flag sets (--ooo); null: it takes one. */
+    const char *flagValue = nullptr;
+
+    /** The key's override and [sweep] name: alias, else section.key. */
+    std::string name() const;
+};
+
+/** Every config key, [system] first and in section order. */
+const std::vector<ConfigKey> &configKeys();
+
 /**
  * Values given on the command line, which override file keys (and
- * collapse matching sweep axes). Fields left unset defer to the file.
+ * collapse matching sweep axes). Nothing set defers to the file.
  */
 struct CliOverrides
 {
-    std::optional<std::string> app;          ///< --app
-    std::optional<std::string> preset;       ///< --preset (single name)
-    std::optional<std::uint32_t> cores;      ///< --cores
-    std::optional<double> scale;             ///< --scale
-    std::optional<std::uint64_t> seed;       ///< --seed
-    std::optional<bool> outOfOrder;          ///< --ooo
-    std::optional<std::uint32_t> pt;         ///< --pt
-    std::optional<std::uint32_t> ipd;        ///< --ipd
-    std::optional<std::uint32_t> distance;   ///< --distance
-    /** --prefetcher; a comma list assigns stacks round-robin. */
-    std::optional<std::string> l1Prefetcher;
-    /** --l2-prefetcher; same comma-list semantics, per tile. */
-    std::optional<std::string> l2Prefetcher;
+    /**
+     * --seed. Typed because a seed spans the full uint64 range, which
+     * config values (int64) cannot carry; it collapses a seed axis
+     * like any other override.
+     */
+    std::optional<std::uint64_t> seed;
+    /**
+     * Every other override as "name=value" text, in command-line
+     * order. Names resolve exactly like [sweep] axis names (a short
+     * name such as pt, or section.key) and must name a key an
+     * impsim_cli flag overrides; values are read like an unquoted
+     * config value, strings verbatim, and checked by the binder
+     * citing "<command line>". A later override of the same key
+     * wins, and only the winner is checked. [prefetch] l1/l2 take a
+     * comma list, assigned round-robin per core/tile.
+     */
+    std::vector<std::string> settings;
 };
+
+/**
+ * Adds override @p name = @p value to @p cli — how SUBMIT/LEASE
+ * override tokens are read. @p name must name an overridable key (see
+ * CliOverrides::settings) and the value parse as its type; ranges,
+ * names and domains are checked when binding. The seed key sets the
+ * typed CliOverrides::seed.
+ * @return empty, or why the override is refused.
+ */
+std::string addOverride(CliOverrides &cli, const std::string &name,
+                        const std::string &value);
+
+/**
+ * @p cli as "name=value" texts, settings in order and the typed seed
+ * last: what addOverride() reads back into an equal CliOverrides.
+ */
+std::vector<std::string> overrideTexts(const CliOverrides &cli);
 
 /** One expanded run of an experiment. */
 struct ExperimentRun

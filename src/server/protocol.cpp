@@ -34,15 +34,6 @@ hexVal(char c)
     return -1;
 }
 
-/** Renders @p v with enough digits to round-trip through stod(). */
-std::string
-exactDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 } // namespace
 
 bool
@@ -158,7 +149,13 @@ parseSubmitOptions(const std::vector<std::string> &tokens,
         if (key == "origin") {
             out.origin = value;
         } else if (key == "csv") {
-            out.csv = (value == "1" || value == "true");
+            if (value != "0" && value != "1" && value != "false" &&
+                value != "true") {
+                error = "SUBMIT csv '" + value +
+                        "' is not 0, 1, false or true";
+                return false;
+            }
+            out.csv = value == "1" || value == "true";
         } else if (key == "priority") {
             if (!parseNumber(value, num, 100) || num < 1) {
                 error = "SUBMIT priority '" + value +
@@ -166,51 +163,9 @@ parseSubmitOptions(const std::vector<std::string> &tokens,
                 return false;
             }
             out.priority = static_cast<int>(num);
-        } else if (key == "app") {
-            out.cli.app = value;
-        } else if (key == "preset") {
-            out.cli.preset = value;
-        } else if (key == "l1") {
-            out.cli.l1Prefetcher = value;
-        } else if (key == "l2") {
-            out.cli.l2Prefetcher = value;
-        } else if (key == "ooo") {
-            out.cli.outOfOrder = (value == "1" || value == "true");
-        } else if (key == "scale") {
-            try {
-                std::size_t used = 0;
-                double v = std::stod(value, &used);
-                if (used != value.size())
-                    throw std::invalid_argument(value);
-                out.cli.scale = v;
-            } catch (const std::exception &) {
-                error = "SUBMIT scale '" + value + "' is not a number";
-                return false;
-            }
-        } else if (key == "seed") {
-            if (!parseNumber(value, num)) {
-                error = "SUBMIT seed '" + value + "' is not a number";
-                return false;
-            }
-            out.cli.seed = num;
-        } else if (key == "cores" || key == "pt" || key == "ipd" ||
-                   key == "distance") {
-            if (!parseNumber(value, num, UINT32_MAX)) {
-                error = "SUBMIT " + key + " '" + value +
-                        "' is not a 32-bit number";
-                return false;
-            }
-            auto v = static_cast<std::uint32_t>(num);
-            if (key == "cores")
-                out.cli.cores = v;
-            else if (key == "pt")
-                out.cli.pt = v;
-            else if (key == "ipd")
-                out.cli.ipd = v;
-            else
-                out.cli.distance = v;
-        } else {
-            error = "SUBMIT option '" + key + "' is unknown";
+        } else if (std::string why = addOverride(out.cli, key, value);
+                   !why.empty()) {
+            error = "SUBMIT option '" + key + "': " + why;
             return false;
         }
     }
@@ -233,29 +188,10 @@ formatSubmitOptions(const SubmitRequest &req)
         line += " csv=1";
     if (req.priority != 1)
         line += " priority=" + std::to_string(req.priority);
-    const CliOverrides &c = req.cli;
-    if (c.app)
-        line += " app=" + escapeToken(*c.app);
-    if (c.preset)
-        line += " preset=" + escapeToken(*c.preset);
-    if (c.cores)
-        line += " cores=" + std::to_string(*c.cores);
-    if (c.scale)
-        line += " scale=" + exactDouble(*c.scale);
-    if (c.seed)
-        line += " seed=" + std::to_string(*c.seed);
-    if (c.outOfOrder && *c.outOfOrder)
-        line += " ooo=1";
-    if (c.pt)
-        line += " pt=" + std::to_string(*c.pt);
-    if (c.ipd)
-        line += " ipd=" + std::to_string(*c.ipd);
-    if (c.distance)
-        line += " distance=" + std::to_string(*c.distance);
-    if (c.l1Prefetcher)
-        line += " l1=" + escapeToken(*c.l1Prefetcher);
-    if (c.l2Prefetcher)
-        line += " l2=" + escapeToken(*c.l2Prefetcher);
+    // Names never need escaping, so escaping the whole "name=value"
+    // escapes just the value.
+    for (const std::string &o : overrideTexts(req.cli))
+        line += " " + escapeToken(o);
     return line;
 }
 

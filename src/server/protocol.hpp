@@ -69,13 +69,15 @@
 namespace impsim {
 namespace server {
 
-/** Protocol version announced in the greeting line (4: WORKERS/FLEET
- *  fleet enumeration). 3 added worker mode — WORKER/REGISTERED
- *  registration, LEASE/ROW/LEASEDONE/LEASEFAIL/REVOKE sub-batch
- *  frames, `gone` diagnostics for evicted results. 2 added
- *  FETCH/LIST, the priority= submit token, and jobs surviving their
- *  submitter's disconnect. */
-inline constexpr int kProtocolVersion = 4;
+/** Protocol version announced in the greeting line (5: overrides
+ *  travel as generic name=value tokens named like [sweep] axes, and
+ *  the ooo= token is gone — --ooo is system.core_model=ooo). 4 added
+ *  WORKERS/FLEET fleet enumeration. 3 added worker mode —
+ *  WORKER/REGISTERED registration, LEASE/ROW/LEASEDONE/LEASEFAIL/
+ *  REVOKE sub-batch frames, `gone` diagnostics for evicted results.
+ *  2 added FETCH/LIST, the priority= submit token, and jobs surviving
+ *  their submitter's disconnect. */
+inline constexpr int kProtocolVersion = 5;
 
 /**
  * Percent-escapes @p s so it is a single space-free token: '%', ' ',
@@ -124,8 +126,8 @@ struct SubmitRequest
 
 /**
  * Parses the tokens of a "SUBMIT ..." line (tokens[0] == "SUBMIT").
- * Recognised keys: origin, csv, priority, app, preset, cores, scale,
- * seed, ooo, pt, ipd, distance, l1, l2.
+ * Recognised keys: origin, csv (0, 1, false or true), priority, and
+ * the CLI overrides (pt, system.core_model, ...), read by addOverride().
  * @return false and sets @p error on any malformed token.
  */
 bool parseSubmitLine(const std::vector<std::string> &tokens,

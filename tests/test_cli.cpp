@@ -46,8 +46,10 @@ runCli(const std::string &args)
 
 TEST(CliFlagMode, BadValuesAreCommandLineDiagnostics)
 {
-    for (const char *bad : {"--scale -1", "--scale 0", "--cores 15",
-                            "--prefetcher=imp+bogus"}) {
+    for (const char *bad :
+         {"--scale -1", "--scale 0", "--scale nan", "--scale inf",
+          "--cores 15", "--cores x", "--pt 4294967296",
+          "--prefetcher=imp+bogus"}) {
         SCOPED_TRACE(bad);
         CliResult r = runCli(std::string("--app spmv --cores 4 ") + bad);
         EXPECT_EQ(r.status, 1) << r.stderrText;

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 
 #include "common/config_file.hpp"
 #include "sim/presets.hpp"
@@ -290,6 +292,7 @@ TEST(ConfigBind, DomainErrorsCiteLines)
     EXPECT_EQ(bindError("[system]\ndram_model = hbm\n").line(), 2);
     EXPECT_EQ(bindError("[system]\npartial = maybe\n").line(), 2);
     EXPECT_EQ(bindError("[system]\nscale = -1.0\n").line(), 2);
+    EXPECT_EQ(bindError("[system]\nscale = nan\n").line(), 2);
     EXPECT_EQ(bindError("[system]\nseed = -4\n").line(), 2);
     EXPECT_EQ(bindError("[imp]\npt_entries = 0\n").line(), 2);
     EXPECT_EQ(bindError("[imp]\nshifts = [2, 3]\n").line(), 2);
@@ -374,9 +377,7 @@ TEST(ConfigSweep, DottedAxesAndAppAxis)
 TEST(ConfigCli, FlagsOverrideFileAndCollapseAxes)
 {
     CliOverrides cli;
-    cli.app = "lsh";
-    cli.cores = 16;
-    cli.pt = 64;
+    cli.settings = {"app=lsh", "cores=16", "pt=64"};
     Experiment exp = bind("[system]\napp = spmv\ncores = 4\n"
                           "[sweep]\npt = [8, 16, 32]\npreset = [Base, IMP]\n",
                           cli);
@@ -411,11 +412,8 @@ TEST(ConfigCli, EquivalentFlagsAndFileProduceTheSameConfig)
                            "l1 = stream+ghb\n");
     // Config path B: an empty file plus the CLI overrides.
     CliOverrides cli;
-    cli.preset = "IMP";
-    cli.cores = 16;
-    cli.outOfOrder = true;
-    cli.pt = 32;
-    cli.l1Prefetcher = "stream+ghb";
+    cli.settings = {"preset=IMP", "cores=16", "system.core_model=ooo",
+                    "pt=32", "l1=stream+ghb"};
     Experiment overridden = bind("", cli);
 
     for (const Experiment *exp : {&file, &overridden}) {
@@ -437,8 +435,7 @@ TEST(ConfigCli, EquivalentFlagsAndFileProduceTheSameConfig)
 TEST(ConfigCli, CommaListAssignsStacksRoundRobin)
 {
     CliOverrides cli;
-    cli.cores = 4;
-    cli.l1Prefetcher = "imp,stream";
+    cli.settings = {"cores=4", "l1=imp,stream"};
     Experiment exp = bind("[prefetch]\ncore.0 = ghb\n", cli);
     const SystemConfig &cfg = exp.runs.at(0).cfg;
     // The CLI list replaces the file's per-core assignment wholesale.
@@ -447,8 +444,105 @@ TEST(ConfigCli, CommaListAssignsStacksRoundRobin)
     EXPECT_EQ(cfg.corePrefetcherSpecs[1], "stream");
     EXPECT_EQ(cfg.corePrefetcherSpecs[2], "imp");
 
-    cli.l1Prefetcher = "imp,";
+    cli.settings = {"cores=4", "l1=imp,"};
     EXPECT_THROW(bind("", cli), ConfigError);
+}
+
+TEST(ConfigCli, RepeatedOverrideLastWinsAndNamesResolveLikeAxes)
+{
+    // A repeated flag keeps its last value, and only that one is
+    // checked; a dotted name reaches the same key as its short name;
+    // a structural override also spares the file's value the check.
+    CliOverrides cli;
+    cli.settings = {"pt=0", "imp.pt_entries=24", "cores=15", "cores=4"};
+    Experiment exp =
+        bind("[system]\ncores = 12\n[sweep]\npt = [8, 16]\n", cli);
+    ASSERT_EQ(exp.runs.size(), 1u);
+    EXPECT_EQ(exp.runs[0].cfg.imp.ptEntries, 24u);
+    EXPECT_EQ(exp.runs[0].cfg.numCores, 4u);
+
+    // Only keys an impsim_cli flag overrides take overrides.
+    for (const char *bad : {"warp=1", "tlb.enable=true", "page=4096"}) {
+        cli.settings = {bad};
+        ConfigError e = bindError("", cli);
+        EXPECT_EQ(e.origin(), "<command line>");
+        EXPECT_NE(e.message().find("names no overridable key"),
+                  std::string::npos)
+            << e.message();
+    }
+}
+
+// ---- The key table against docs/config_format.md ----------------------
+
+namespace {
+
+/** The backquoted text of each "| `...` |" cell of a markdown row. */
+std::vector<std::string>
+codeCells(const std::string &row)
+{
+    std::vector<std::string> cells;
+    std::size_t bar = row.find('|');
+    while (bar != std::string::npos) {
+        std::size_t next = row.find('|', bar + 1);
+        if (next == std::string::npos)
+            break;
+        std::string cell = row.substr(bar + 1, next - bar - 1);
+        std::size_t open = cell.find('`');
+        std::size_t close = cell.find('`', open + 1);
+        if (open != std::string::npos && close != std::string::npos)
+            cells.push_back(cell.substr(open + 1, close - open - 1));
+        bar = next;
+    }
+    return cells;
+}
+
+} // namespace
+
+TEST(ConfigDocs, KeyAndAliasTablesMatchTheKeyTable)
+{
+    std::ifstream in(std::string(IMPSIM_SOURCE_DIR) +
+                     "/docs/config_format.md");
+    ASSERT_TRUE(in);
+    // "section.key" from each `## [section]` table's first column, and
+    // alias -> "section.key" from the [sweep] alias table.
+    std::set<std::string> docKeys;
+    std::map<std::string, std::string> docAliases;
+    std::string section, line;
+    while (std::getline(in, line)) {
+        if (line.rfind("## ", 0) == 0) {
+            std::size_t open = line.find("`[");
+            std::size_t close = line.find("]`");
+            section = open != std::string::npos && close != std::string::npos
+                          ? line.substr(open + 2, close - open - 2)
+                          : "";
+            continue;
+        }
+        if (section.empty() || line.rfind("| `", 0) != 0)
+            continue;
+        std::vector<std::string> cells = codeCells(line);
+        if (section != "sweep") {
+            EXPECT_TRUE(docKeys.insert(section + "." + cells.at(0)).second)
+                << "documented twice: " << line;
+            continue;
+        }
+        for (std::size_t i = 0; i + 1 < cells.size(); i += 2)
+            docAliases[cells[i]] = cells[i + 1];
+    }
+
+    std::set<std::string> keys;
+    std::map<std::string, std::string> aliases;
+    for (const ConfigKey &k : configKeys()) {
+        std::string path = std::string(k.section) + "." + k.key;
+        keys.insert(path);
+        if (k.alias)
+            aliases[k.alias] = path;
+    }
+    for (const std::string &k : keys)
+        EXPECT_TRUE(docKeys.count(k)) << "undocumented key " << k;
+    for (const std::string &k : docKeys)
+        EXPECT_TRUE(keys.count(k)) << "documented key not in the table " << k;
+    EXPECT_EQ(docAliases, aliases);
+    EXPECT_EQ(docKeys.size(), keys.size());
 }
 
 } // namespace

@@ -331,6 +331,15 @@ TEST(FairJobQueue, AgingPromotesAStarvedLowPriorityJob)
     EXPECT_EQ(q3.size(), 0u);
 }
 
+/** The single run @p cli binds on an empty config. */
+ExperimentRun
+boundRun(const CliOverrides &cli)
+{
+    Experiment exp = bindExperiment(ConfigFile::parseString(""), cli);
+    EXPECT_EQ(exp.runs.size(), 1u);
+    return exp.runs.at(0);
+}
+
 TEST(Protocol, SubmitLineRoundTripsOverridesExactly)
 {
     // The --submit/--config bit-identity hinges on overrides
@@ -342,17 +351,17 @@ TEST(Protocol, SubmitLineRoundTripsOverridesExactly)
     req.origin = "/tmp/dir with spaces/100%.imp.ini";
     req.csv = true;
     req.priority = 7;
-    req.cli.app = "spmv";
-    req.cli.preset = "IMP";
-    req.cli.cores = 16u;
-    req.cli.scale = 0.012345678901234567;
+    req.cli.settings = {"app=spmv",
+                        "preset=IMP",
+                        "cores=16",
+                        "scale=0.012345678901234567",
+                        "system.core_model=ooo",
+                        "pt=8",
+                        "ipd=4",
+                        "distance=32",
+                        "l1=imp+stream",
+                        "l2=stream"};
     req.cli.seed = UINT64_MAX;
-    req.cli.outOfOrder = true;
-    req.cli.pt = 8u;
-    req.cli.ipd = 4u;
-    req.cli.distance = 32u;
-    req.cli.l1Prefetcher = "imp+stream";
-    req.cli.l2Prefetcher = "stream";
 
     const std::string line = server::formatSubmitLine(req);
     SubmitRequest back;
@@ -364,29 +373,31 @@ TEST(Protocol, SubmitLineRoundTripsOverridesExactly)
     EXPECT_EQ(back.origin, req.origin);
     EXPECT_EQ(back.csv, req.csv);
     EXPECT_EQ(back.priority, req.priority);
-    EXPECT_EQ(back.cli.app, req.cli.app);
-    EXPECT_EQ(back.cli.preset, req.cli.preset);
-    EXPECT_EQ(back.cli.cores, req.cli.cores);
-    ASSERT_TRUE(back.cli.scale.has_value());
-    EXPECT_EQ(*back.cli.scale, *req.cli.scale) << "bit-exact, not close";
+    EXPECT_EQ(back.cli.settings, req.cli.settings);
     EXPECT_EQ(back.cli.seed, req.cli.seed);
-    EXPECT_EQ(back.cli.outOfOrder, req.cli.outOfOrder);
-    EXPECT_EQ(back.cli.pt, req.cli.pt);
-    EXPECT_EQ(back.cli.ipd, req.cli.ipd);
-    EXPECT_EQ(back.cli.distance, req.cli.distance);
-    EXPECT_EQ(back.cli.l1Prefetcher, req.cli.l1Prefetcher);
-    EXPECT_EQ(back.cli.l2Prefetcher, req.cli.l2Prefetcher);
+    // Both ends bind the same machine, the scale bit-exact.
+    const ExperimentRun sent = boundRun(req.cli);
+    const ExperimentRun got = boundRun(back.cli);
+    EXPECT_EQ(got.label, sent.label);
+    EXPECT_EQ(got.scale, 0.012345678901234567) << "bit-exact, not close";
+    EXPECT_EQ(got.seed, UINT64_MAX);
+    EXPECT_EQ(got.cfg.coreModel, CoreModel::OutOfOrder);
+    EXPECT_EQ(got.cfg.imp.ptEntries, 8u);
+    EXPECT_EQ(got.cfg.imp.ipdEntries, 4u);
+    EXPECT_EQ(got.cfg.imp.maxPrefetchDistance, 32u);
+    EXPECT_EQ(got.cfg.prefetcherSpec, "imp+stream");
+    EXPECT_EQ(got.cfg.l2PrefetcherSpec, "stream");
 
     // Tiny scales must not collapse to 0 on the wire.
     SubmitRequest tiny;
-    tiny.cli.scale = 1e-7;
+    tiny.cli.settings = {"scale=1e-7"};
     SubmitRequest tinyBack;
     ASSERT_TRUE(server::parseSubmitLine(
         server::splitTokens(server::formatSubmitLine(tiny)), tinyBack,
         error))
         << error;
-    ASSERT_TRUE(tinyBack.cli.scale.has_value());
-    EXPECT_EQ(*tinyBack.cli.scale, 1e-7);
+    EXPECT_EQ(tinyBack.cli.settings, tiny.cli.settings);
+    EXPECT_EQ(boundRun(tinyBack.cli).scale, 1e-7);
 }
 
 TEST(JobServer, TwoConcurrentClientsGetBitIdenticalCompleteResults)
@@ -431,9 +442,7 @@ TEST(JobServer, Fig14PanelOverTheSocketMatchesInProcess)
     // against `--config` with identical override flags (narrowed to a
     // test-sized panel: the pt axis survives, 3 runs).
     CliOverrides cli;
-    cli.app = "spmv";
-    cli.cores = 4u;
-    cli.scale = 0.05;
+    cli.settings = {"app=spmv", "cores=4", "scale=0.05"};
     const std::string fig14 = sourcePath("examples/configs/fig14.imp.ini");
     const std::string expected = inProcessOutput(fig14, cli);
 
@@ -608,7 +617,7 @@ TEST(JobServer, ConcurrentClientsTimesJobsStressBitIdentical)
     for (int c = 0; c < kClients; ++c) {
         for (int j = 0; j < kJobsPerClient; ++j) {
             CliOverrides cli;
-            cli.pt = ptFor(c, j);
+            cli.settings = {"pt=" + std::to_string(ptFor(c, j))};
             expected[c][j] = inProcessOutput(smokeConfigPath(), cli);
             ASSERT_FALSE(expected[c][j].empty());
         }
@@ -623,7 +632,7 @@ TEST(JobServer, ConcurrentClientsTimesJobsStressBitIdentical)
         clients.emplace_back([&, c] {
             for (int j = 0; j < kJobsPerClient; ++j) {
                 SubmitRequest req;
-                req.cli.pt = ptFor(c, j);
+                req.cli.settings = {"pt=" + std::to_string(ptFor(c, j))};
                 std::ostringstream out, err;
                 code[c][j] = server::submitAndWait(
                     cfg.socketPath, smokeConfigPath(), req, out, err);

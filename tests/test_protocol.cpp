@@ -152,28 +152,29 @@ randomSubmit(std::mt19937 &rng)
     req.origin = "dir with spaces/" + randomBytes(rng, 12) + ".cfg";
     req.csv = coin(rng) != 0;
     req.priority = pr(rng);
+    std::vector<std::string> &set = req.cli.settings;
     if (coin(rng))
-        req.cli.app = "spmv";
+        set.push_back("app=spmv");
     if (coin(rng))
-        req.cli.preset = "imp 100% space";
+        set.push_back("preset=imp 100% space");
     if (coin(rng))
-        req.cli.cores = u32(rng);
+        set.push_back("cores=" + std::to_string(u32(rng)));
     if (coin(rng))
-        req.cli.scale = 0.0625;
+        set.push_back("scale=0.0625");
     if (coin(rng))
         req.cli.seed = u64(rng);
     if (coin(rng))
-        req.cli.outOfOrder = true;
+        set.push_back("system.core_model=ooo");
     if (coin(rng))
-        req.cli.pt = u32(rng);
+        set.push_back("pt=" + std::to_string(u32(rng)));
     if (coin(rng))
-        req.cli.ipd = u32(rng);
+        set.push_back("ipd=" + std::to_string(u32(rng)));
     if (coin(rng))
-        req.cli.distance = u32(rng);
+        set.push_back("distance=" + std::to_string(u32(rng)));
     if (coin(rng))
-        req.cli.l1Prefetcher = "imp,stream";
+        set.push_back("l1=imp,stream");
     if (coin(rng))
-        req.cli.l2Prefetcher = "none";
+        set.push_back("l2=none");
     return req;
 }
 
@@ -185,21 +186,8 @@ expectSameRequest(const SubmitRequest &a, const SubmitRequest &b,
     EXPECT_EQ(a.origin, b.origin) << "iteration " << iter;
     EXPECT_EQ(a.csv, b.csv) << "iteration " << iter;
     EXPECT_EQ(a.priority, b.priority) << "iteration " << iter;
-    EXPECT_EQ(a.cli.app, b.cli.app) << "iteration " << iter;
-    EXPECT_EQ(a.cli.preset, b.cli.preset) << "iteration " << iter;
-    EXPECT_EQ(a.cli.cores, b.cli.cores) << "iteration " << iter;
-    EXPECT_EQ(a.cli.scale, b.cli.scale) << "iteration " << iter;
+    EXPECT_EQ(a.cli.settings, b.cli.settings) << "iteration " << iter;
     EXPECT_EQ(a.cli.seed, b.cli.seed) << "iteration " << iter;
-    EXPECT_EQ(a.cli.outOfOrder.value_or(false),
-              b.cli.outOfOrder.value_or(false))
-        << "iteration " << iter;
-    EXPECT_EQ(a.cli.pt, b.cli.pt) << "iteration " << iter;
-    EXPECT_EQ(a.cli.ipd, b.cli.ipd) << "iteration " << iter;
-    EXPECT_EQ(a.cli.distance, b.cli.distance) << "iteration " << iter;
-    EXPECT_EQ(a.cli.l1Prefetcher, b.cli.l1Prefetcher)
-        << "iteration " << iter;
-    EXPECT_EQ(a.cli.l2Prefetcher, b.cli.l2Prefetcher)
-        << "iteration " << iter;
 }
 
 } // namespace
@@ -238,6 +226,14 @@ TEST(SubmitLine, RejectsMalformedTokens)
                                  error));
     EXPECT_FALSE(parseSubmitLine(splitTokens("SUBMIT 10 scale=1..5"),
                                  req, error));
+    // The v4 ooo= token is gone (--ooo is system.core_model=ooo), and
+    // csv= takes only 0, 1, false or true.
+    EXPECT_FALSE(parseSubmitLine(splitTokens("SUBMIT 10 ooo=banana"), req,
+                                 error));
+    EXPECT_FALSE(parseSubmitLine(splitTokens("SUBMIT 10 csv=banana"), req,
+                                 error));
+    EXPECT_FALSE(parseSubmitLine(splitTokens("SUBMIT 10 page=4096"), req,
+                                 error)); // no flag overrides it
 }
 
 TEST(LeaseLine, RoundTripsRandomLeases)

@@ -9,7 +9,9 @@ With no --baseline, picks the highest-numbered BENCH_<n>.json in the
 repo root (the perf trajectory described in docs/perf.md).
 
 The check warns by default: CI runners are noisy enough that a hard
-gate on shared infrastructure would flake. Set IMPSIM_PERF_STRICT=1
+gate on shared infrastructure would flake. Each grid's set-up time
+(phases.workload_ms) is printed beside its sims/sec with its ratio to
+the baseline; that line is informational and never fails the check. Set IMPSIM_PERF_STRICT=1
 (or pass --strict) to turn a regression beyond --max-regression into
 a non-zero exit.
 """
@@ -117,6 +119,14 @@ def main():
             failed = True
         else:
             print(line + "  ok")
+        # Set-up (workload generation) beside the gated throughput, so
+        # a generator regression shows in the log; informational only.
+        bw = base[name].get("phases", {}).get("workload_ms")
+        cw = cur[name].get("phases", {}).get("workload_ms")
+        if bw is not None and cw is not None:
+            wratio = f"{cw / bw:.2f}x" if bw > 0 else "n/a"
+            print(f"perf_check: {name}: workload_ms {cw:.1f} vs "
+                  f"baseline {bw:.1f} ({wratio}, informational)")
         # Throughput aside, the same simulator version must simulate
         # the same cycles; drift here usually means the baseline needs
         # re-recording after an intentional behavior change.

@@ -686,6 +686,12 @@ setScale(Bound &b, const Setting &s)
     if (!std::isfinite(scale))
         failAt(s, describeKey(s) + " must be finite, got " +
                       s.value.toString());
+    // Past this the generators' 32-bit sizes wrap (a hang or an
+    // abort, not a diagnostic).
+    if (scale > kMaxWorkloadScale)
+        failAt(s, describeKey(s) + " must be at most " +
+                      std::to_string(kMaxWorkloadScale) + ", got " +
+                      s.value.toString());
     b.scale = scale;
 }
 

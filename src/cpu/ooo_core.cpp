@@ -4,6 +4,9 @@
  */
 #include "cpu/ooo_core.hpp"
 
+#include <algorithm>
+
+#include "common/intmath.hpp"
 #include "common/logging.hpp"
 
 namespace impsim {
@@ -14,14 +17,13 @@ OoOCore::OoOCore(const CoreParams &params, EventQueue &eq, MemPort &port,
     : params_(params), eq_(eq), port_(port), barrier_(barrier),
       trace_(trace), onFinish_(std::move(on_finish))
 {
-    const auto &acc = trace_.accesses;
-    completion_.assign(acc.size(), kNoTick);
-    instrIndex_.resize(acc.size());
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-        instrIndex_[i] = n;
-        n += std::uint64_t{acc[i].gap} + 1;
-    }
+    // At most min(robEntries, trace length) entries are unretired at
+    // once (each holds at least one ROB slot), so they never alias.
+    std::uint64_t span =
+        std::min<std::uint64_t>(params_.robEntries,
+                                trace_.accesses.size()) + 1;
+    window_.assign(std::size_t{1} << ceilLog2(span), kNoTick);
+    windowMask_ = window_.size() - 1;
 }
 
 void
@@ -62,22 +64,23 @@ OoOCore::tryDispatch()
     // ROB window: the access's instruction slot must be within
     // robEntries of the oldest unretired instruction. With an empty
     // window (retired_ == idx_) dispatch can always proceed.
-    if (retired_ < idx_) {
-        std::uint64_t access_instr = instrIndex_[idx_] + a.gap;
-        std::uint64_t oldest_instr = instrIndex_[retired_];
-        if (access_instr - oldest_instr >= params_.robEntries)
-            return; // A completion will re-run dispatch.
-    }
+    if (retired_ < idx_ &&
+        instrAtIdx_ + a.gap - instrAtRetired_ >= params_.robEntries)
+        return; // A completion will re-run dispatch.
 
     // Register dependence: the address producer must have completed.
+    // One older than retired_ did, no later than now (file comment).
     Tick ready = fetchClock_ + a.gap + 1;
     if (a.dep != 0) {
         IMPSIM_CHECK(a.dep <= idx_, "dependence precedes the trace");
         std::size_t j = idx_ - a.dep;
-        if (completion_[j] == kNoTick)
-            return; // Wait for the producer.
-        if (completion_[j] > ready)
-            ready = completion_[j];
+        if (j >= retired_) {
+            Tick produced = window_[j & windowMask_];
+            if (produced == kNoTick)
+                return; // Wait for the producer.
+            if (produced > ready)
+                ready = produced;
+        }
     }
 
     // Structural limits.
@@ -115,7 +118,9 @@ OoOCore::doIssue()
     const MemAccess &a = trace_.accesses[entry];
     Tick now = eq_.now();
 
+    Tick &completion = window_[entry & windowMask_];
     stats_.instructions += std::uint64_t{a.gap} + 1;
+    instrAtIdx_ += std::uint64_t{a.gap} + 1;
     fetchClock_ = now;
     ++idx_;
     passedBarrier_ = false;
@@ -123,8 +128,8 @@ OoOCore::doIssue()
     if (a.isSwPrefetch()) {
         stats_.swPrefetches += 1;
         port_.softwarePrefetch(a.addr, a.pc);
-        completion_[entry] = now;
-        onComplete(entry, now);
+        completion = now;
+        onComplete(now);
         return;
     }
 
@@ -134,34 +139,39 @@ OoOCore::doIssue()
         ++storesOutstanding_;
         // Stores retire at issue (store buffer); the slot frees when
         // the write completes in the memory system.
-        completion_[entry] = now;
+        completion = now;
         port_.demandAccess(a, [this](Tick) {
             --storesOutstanding_;
             tryDispatch();
         });
-        onComplete(entry, now);
+        onComplete(now);
         return;
     }
 
     stats_.loads += 1;
     ++loadsOutstanding_;
+    // The slot may hold a retired entry's tick from a lap ago. It is
+    // not reused before this load retires, which needs it completed.
+    completion = kNoTick;
     port_.demandAccess(a, [this, entry, now](Tick done) {
         --loadsOutstanding_;
         stats_.loadLatencySum += done - now;
         stats_.loadLatencyCount += 1;
-        completion_[entry] = done;
-        onComplete(entry, done);
+        window_[entry & windowMask_] = done;
+        onComplete(done);
     });
     tryDispatch();
 }
 
 void
-OoOCore::onComplete(std::size_t, Tick done)
+OoOCore::onComplete(Tick done)
 {
     if (done > lastCompletion_)
         lastCompletion_ = done;
-    while (retired_ < idx_ && completion_[retired_] != kNoTick)
+    while (retired_ < idx_ && window_[retired_ & windowMask_] != kNoTick) {
+        instrAtRetired_ += std::uint64_t{trace_.accesses[retired_].gap} + 1;
         ++retired_;
+    }
     tryDispatch();
 }
 

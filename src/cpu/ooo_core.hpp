@@ -8,6 +8,13 @@
  * ROB window (32 entries, mimicking Silvermont/Knights Landing) has
  * room, and (c) an LSQ slot is free. Independent loads overlap; the
  * A[B[i]]-on-B[i] dependence chains are honoured via trace dep links.
+ *
+ * The core's state is O(ROB), not O(trace): at most robEntries entries
+ * are ever dispatched but unretired, so completion ticks live in a
+ * ring over that window, and the instruction counts the ROB check
+ * needs are two running sums. A dependence producer older than the
+ * oldest unretired entry needs no tick: it completed no later than
+ * the current tick, so it cannot move the issue tick max(ready, now).
  */
 #ifndef IMPSIM_CPU_OOO_CORE_HPP
 #define IMPSIM_CPU_OOO_CORE_HPP
@@ -43,7 +50,7 @@ class OoOCore final : public TraceCore
     void tryDispatch();
     void issueAt(Tick when);
     void doIssue();
-    void onComplete(std::size_t entry, Tick done);
+    void onComplete(Tick done);
     void finishIfDrained();
 
     CoreParams params_;
@@ -65,10 +72,13 @@ class OoOCore final : public TraceCore
     std::uint32_t loadsOutstanding_ = 0;
     std::uint32_t storesOutstanding_ = 0;
 
-    /** Completion tick per entry (kNoTick while in flight/unissued). */
-    std::vector<Tick> completion_;
-    /** Cumulative instruction index at each entry's dispatch. */
-    std::vector<std::uint64_t> instrIndex_;
+    /** Completion tick of each entry in [retired_, idx_), at
+     * entry & windowMask_ (kNoTick while in flight). */
+    std::vector<Tick> window_;
+    std::size_t windowMask_ = 0;
+    /** Instructions before entry idx_ and before entry retired_. */
+    std::uint64_t instrAtIdx_ = 0;
+    std::uint64_t instrAtRetired_ = 0;
     Tick lastCompletion_ = 0;
     CoreStats stats_;
 };

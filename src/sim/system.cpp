@@ -54,20 +54,14 @@ System::buildCores()
     params.robEntries = cfg_.robEntries;
     params.maxOutstandingLoads = cfg_.maxOutstandingLoads;
 
-    bool any_barrier = false;
-    for (const auto &t : traces_) {
-        if (t.barrierCount() > 0) {
-            any_barrier = true;
-            break;
-        }
-    }
-
+    // Every core gets the barrier; one only touches it on an access
+    // flagged kFlagBarrierBefore, so no trace needs scanning for one.
+    Barrier *bar = barrier_.get();
     cores_.reserve(cfg_.numCores);
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
         if (auto pf = makePrefetcher(c))
             hier_->l1(c).attachPrefetcher(std::move(pf));
         params.id = c;
-        Barrier *bar = any_barrier ? barrier_.get() : nullptr;
         auto on_finish = [this] { ++coresDone_; };
         if (cfg_.coreModel == CoreModel::InOrder) {
             cores_.push_back(std::make_unique<InOrderCore>(

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/intmath.hpp"
 #include "workloads/trace_builder.hpp"
 #include "workloads/workload.hpp"
 
@@ -40,14 +41,12 @@ scaled(std::uint32_t base, double scale, std::uint32_t min_value)
     return std::max(v, min_value);
 }
 
-/** Rounds down to a power of two (RMAT needs pow2 vertex counts). */
+/** Rounds down to a power of two (RMAT needs pow2 vertex counts);
+ * 1 for 0. */
 inline std::uint32_t
 pow2Floor(std::uint32_t v)
 {
-    std::uint32_t p = 1;
-    while (p * 2 <= v)
-        p *= 2;
-    return p;
+    return v == 0 ? 1u : 1u << floorLog2(v);
 }
 
 /** Software-prefetch distance used by the Mowry-style variants. The

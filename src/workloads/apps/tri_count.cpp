@@ -41,13 +41,40 @@ makeTriCount(const WorkloadParams &p)
         kPcPf,
     };
 
+    // Spread sources over the graph deterministically.
+    auto sourceVertex = [vertices](std::uint32_t s) {
+        return static_cast<std::uint32_t>((std::uint64_t{s} * 2654435761u) %
+                                          vertices);
+    };
+    // Accesses the loop below emits for source u, counted from the
+    // degrees alone so each core's trace is allocated once: 1 + 4 per
+    // neighbour v of u (mark and clear), plus 1 + 2 per neighbour of
+    // v (intersect), plus 2 per software prefetch, which fires at each
+    // even k with k + distance < ve.
+    auto accessesFor = [&g, &p](std::uint32_t u) {
+        std::uint32_t ub = g.rowPtr[u], ue = g.rowPtr[u + 1];
+        std::uint64_t n = 1 + 4ull * (ue - ub);
+        for (std::uint32_t j = ub; j < ue; ++j) {
+            std::uint32_t v = g.col[j];
+            std::uint32_t vb = g.rowPtr[v], ve = g.rowPtr[v + 1];
+            n += 1 + 2ull * (ve - vb);
+            if (p.swPrefetch && ve - vb > kSwPrefetchDistance) {
+                // Even k in [vb, ve - distance).
+                std::uint32_t hi = ve - kSwPrefetchDistance;
+                n += 2ull * ((hi + 1) / 2 - (vb + 1) / 2);
+            }
+        }
+        return n;
+    };
+
     for (std::uint32_t c = 0; c < p.numCores; ++c) {
         Range r = coreSlice(sources, p.numCores, c);
+        std::uint64_t core_accesses = 0;
+        for (std::uint32_t s = r.begin; s < r.end; ++s)
+            core_accesses += accessesFor(sourceVertex(s));
+        tb.reserve(c, core_accesses);
         for (std::uint32_t s = r.begin; s < r.end; ++s) {
-            // Spread sources over the graph deterministically.
-            std::uint32_t u =
-                static_cast<std::uint32_t>((std::uint64_t{s} * 2654435761u)
-                                           % vertices);
+            std::uint32_t u = sourceVertex(s);
             std::uint32_t ub = g.rowPtr[u], ue = g.rowPtr[u + 1];
             tb.load(c, kPcRowPtrU, row_ptr + (u + 1) * 4ull, 4,
                     AccessType::Other, 4);

@@ -46,6 +46,12 @@ makeRmatGraph(std::uint32_t num_vertices, std::uint32_t num_edges,
     IMPSIM_CHECK(isPow2(num_vertices), "RMAT needs power-of-two vertices");
     Rng rng(seed);
     int levels = floorLog2(num_vertices);
+    // Quadrant thresholds a <= ab <= abc (RmatParams' precondition).
+    // A draw picks quadrant 0..3 = (src bit, dst bit) = 00, 01, 10,
+    // 11: src is set past ab, and dst flips at each threshold passed,
+    // so both bits are compares instead of an unpredictable branch.
+    const double ab = p.a + p.b;
+    const double abc = ab + p.c;
 
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
     edges.reserve(num_edges);
@@ -53,20 +59,8 @@ makeRmatGraph(std::uint32_t num_vertices, std::uint32_t num_edges,
         std::uint32_t src = 0, dst = 0;
         for (int l = 0; l < levels; ++l) {
             double r = rng.uniform();
-            std::uint32_t sbit, dbit;
-            if (r < p.a) {
-                sbit = 0;
-                dbit = 0;
-            } else if (r < p.a + p.b) {
-                sbit = 0;
-                dbit = 1;
-            } else if (r < p.a + p.b + p.c) {
-                sbit = 1;
-                dbit = 0;
-            } else {
-                sbit = 1;
-                dbit = 1;
-            }
+            std::uint32_t sbit = r >= ab;
+            std::uint32_t dbit = (r >= p.a) ^ sbit ^ (r >= abc);
             src = (src << 1) | sbit;
             dst = (dst << 1) | dbit;
         }

@@ -15,11 +15,15 @@
 
 namespace impsim {
 
-/** RMAT parameters. */
+/**
+ * RMAT parameters: the probabilities of the four quadrants a level
+ * recurses into. Every probability must be non-negative and
+ * a + b + c <= 1 (d = 1 - a - b - c); the generator's branch-free
+ * quadrant selection relies on a <= a+b <= a+b+c.
+ */
 struct RmatParams
 {
     double a = 0.57, b = 0.19, c = 0.19;
-    // d = 1 - a - b - c.
 };
 
 /**

@@ -81,6 +81,13 @@ TraceBuilder::swPrefetch(std::uint32_t core, std::uint32_t pc, Addr addr,
 }
 
 void
+TraceBuilder::reserve(std::uint32_t core, std::size_t accesses)
+{
+    IMPSIM_CHECK(core < numCores_, "core out of range");
+    traces_[core].accesses.reserve(accesses);
+}
+
+void
 TraceBuilder::barrier()
 {
     for (auto &b : barrierPending_) {

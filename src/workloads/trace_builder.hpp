@@ -62,6 +62,13 @@ class TraceBuilder
     std::size_t swPrefetch(std::uint32_t core, std::uint32_t pc,
                            Addr addr, std::uint32_t gap);
 
+    /**
+     * Sizes @p core's trace storage for @p accesses accesses in total,
+     * so a kernel that knows its count up front allocates each trace
+     * once instead of regrowing it.
+     */
+    void reserve(std::uint32_t core, std::size_t accesses);
+
     /** Index the next emitted access for @p core will occupy. */
     std::size_t
     position(std::uint32_t core) const

@@ -58,13 +58,21 @@ const char *appName(AppId app);
  */
 bool parseAppName(const std::string &name, AppId &out);
 
+/**
+ * Largest input-size multiplier the generators support. At 1024
+ * every 32-bit element count stays below 2^31; the largest,
+ * tri_count's edge count, is 2^30 there and wraps at 4096.
+ */
+inline constexpr std::uint32_t kMaxWorkloadScale = 1024;
+
 /** Generation parameters. */
 struct WorkloadParams
 {
     std::uint32_t numCores = 64;
     /** Emit Mowry-style software prefetches (§5.4). */
     bool swPrefetch = false;
-    /** Input size multiplier (1.0 = default evaluation size). */
+    /** Input size multiplier (1.0 = default evaluation size), in
+     * (0, kMaxWorkloadScale]. */
     double scale = 1.0;
     std::uint64_t seed = 42;
     /** Trace file to replay; required by (and only by) AppId::Trace. */

@@ -48,7 +48,7 @@ TEST(CliFlagMode, BadValuesAreCommandLineDiagnostics)
 {
     for (const char *bad :
          {"--scale -1", "--scale 0", "--scale nan", "--scale inf",
-          "--cores 15", "--cores x", "--pt 4294967296",
+          "--scale 9000", "--scale 200000", "--cores 15", "--cores x", "--pt 4294967296",
           "--prefetcher=imp+bogus"}) {
         SCOPED_TRACE(bad);
         CliResult r = runCli(std::string("--app spmv --cores 4 ") + bad);

@@ -73,6 +73,7 @@ configCorpus()
             "[system]\nscale = -1.0\n",
             "[system]\nscale = nan\n",
             "[system]\nscale = inf\n",
+            "[system]\nscale = 2048\n",
             "[system]\nseed = -4\n",
             "[imp]\npt_entries = 0\n",
             "[imp]\nmax_indirect_ways = -1\n",
@@ -134,6 +135,8 @@ flagCorpus()
         "--scale 0",
         "--scale nan",
         "--scale inf",
+        "--scale 9000",
+        "--scale 200000",
         "--cores x",
         "--pt 4294967296",
         "--pt 0",

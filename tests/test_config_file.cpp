@@ -293,6 +293,11 @@ TEST(ConfigBind, DomainErrorsCiteLines)
     EXPECT_EQ(bindError("[system]\npartial = maybe\n").line(), 2);
     EXPECT_EQ(bindError("[system]\nscale = -1.0\n").line(), 2);
     EXPECT_EQ(bindError("[system]\nscale = nan\n").line(), 2);
+    EXPECT_EQ(bindError("[system]\nscale = 2048\n").line(), 2);
+    EXPECT_NE(bindError("[system]\nscale = 2048\n")
+                  .message()
+                  .find("must be at most 1024, got 2048"),
+              std::string::npos);
     EXPECT_EQ(bindError("[system]\nseed = -4\n").line(), 2);
     EXPECT_EQ(bindError("[imp]\npt_entries = 0\n").line(), 2);
     EXPECT_EQ(bindError("[imp]\nshifts = [2, 3]\n").line(), 2);

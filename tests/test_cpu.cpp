@@ -4,8 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 
+#include "common/rng.hpp"
 #include "cpu/barrier.hpp"
 #include "cpu/inorder_core.hpp"
 #include "cpu/ooo_core.hpp"
@@ -333,6 +336,120 @@ TEST(OoO, BarrierDrainsWindow)
     eq.run();
     // The barrier access waits for the 100-cycle load to retire.
     EXPECT_GE(core.stats().finishTick, 101u);
+}
+
+/** A seeded random program for the OoO window test. */
+struct RandomProgram
+{
+    CoreTrace trace;
+    std::map<std::uint32_t, Tick> latencyByPc;
+};
+
+/**
+ * 2,000-10,000 accesses over 16 PCs with latencies of 1-300, gaps of
+ * 0-40 and dependences 0-300 back (most behind the oldest unretired
+ * entry at small windows); one access in eight is a store and one in
+ * eight a software prefetch.
+ */
+RandomProgram
+randomProgram(std::uint64_t seed)
+{
+    constexpr std::uint32_t kPcs = 16;
+    Rng rng(seed);
+    RandomProgram prog;
+    for (std::uint32_t pc = 0; pc < kPcs; ++pc)
+        prog.latencyByPc[pc] = 1 + rng.below(300);
+    const std::uint64_t n = 2000 + rng.below(8001);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        auto pc = static_cast<std::uint32_t>(rng.below(kPcs));
+        auto gap = static_cast<std::uint32_t>(rng.below(41));
+        auto dep = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(rng.below(301), i));
+        MemAccess a = makeLoad(pc, i * 64, gap, dep);
+        switch (rng.below(8)) {
+        case 0:
+            a.flags = kFlagWrite;
+            break;
+        case 1:
+            a.flags = kFlagSwPrefetch;
+            break;
+        default:
+            break;
+        }
+        prog.trace.accesses.push_back(a);
+    }
+    prog.trace.tailInstructions = rng.below(100);
+    return prog;
+}
+
+TEST(OoO, WindowMatchesPinnedTimings)
+{
+    // Pinned from the model that kept a completion tick and an
+    // instruction index per trace entry; the ROB-window state must
+    // reproduce it exactly, from a one-entry window to one larger
+    // than the whole trace.
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint32_t rob;
+        std::uint32_t maxLoads;
+        Tick finishTick;
+        std::uint64_t instructions;
+        std::uint64_t loadLatencySum;
+    };
+    static const Pin kPins[] = {
+        {1, 1, 1, 238153, 48993, 223641},
+        {1, 1, 8, 238153, 48993, 223641},
+        {1, 2, 1, 238153, 48993, 223641},
+        {1, 2, 8, 238047, 48993, 223641},
+        {1, 32, 1, 235673, 48993, 223641},
+        {1, 32, 8, 211759, 48993, 223641},
+        {1, 1024, 1, 228603, 48993, 223641},
+        {1, 1024, 8, 53783, 48993, 223641},
+        {1, 1048576, 1, 228603, 48993, 223641},
+        {1, 1048576, 8, 53783, 48993, 223641},
+        {42, 1, 1, 440798, 84258, 415362},
+        {42, 1, 8, 440798, 84258, 415362},
+        {42, 2, 1, 440798, 84258, 415362},
+        {42, 2, 8, 440790, 84258, 415362},
+        {42, 32, 1, 436828, 84258, 415362},
+        {42, 32, 8, 385193, 84258, 415362},
+        {42, 1024, 1, 425630, 84258, 415362},
+        {42, 1024, 8, 92368, 84258, 415362},
+        {42, 1048576, 1, 425630, 84258, 415362},
+        {42, 1048576, 8, 92368, 84258, 415362},
+        {1205, 1, 1, 375436, 69808, 352558},
+        {1205, 1, 8, 375436, 69808, 352558},
+        {1205, 2, 1, 375436, 69808, 352558},
+        {1205, 2, 8, 375436, 69808, 352558},
+        {1205, 32, 1, 371529, 69808, 352558},
+        {1205, 32, 8, 323139, 69808, 352558},
+        {1205, 1024, 1, 360599, 69808, 352558},
+        {1205, 1024, 8, 75041, 69808, 352558},
+        {1205, 1048576, 1, 360599, 69808, 352558},
+        {1205, 1048576, 8, 75041, 69808, 352558},
+    };
+    ASSERT_EQ(std::size(kPins), 30u);
+    for (const Pin &pin : kPins) {
+        RandomProgram prog = randomProgram(pin.seed);
+        EventQueue eq;
+        FakePort port(eq);
+        port.latencyByPc = prog.latencyByPc;
+        CoreParams params;
+        params.robEntries = pin.rob;
+        params.maxOutstandingLoads = pin.maxLoads;
+        OoOCore core(params, eq, port, nullptr, prog.trace, nullptr);
+        core.start();
+        eq.run();
+        ASSERT_TRUE(core.done());
+        const CoreStats &s = core.stats();
+        EXPECT_TRUE(s.finishTick == pin.finishTick &&
+                    s.instructions == pin.instructions &&
+                    s.loadLatencySum == pin.loadLatencySum)
+            << "got {" << pin.seed << ", " << pin.rob << ", "
+            << pin.maxLoads << ", " << s.finishTick << ", "
+            << s.instructions << ", " << s.loadLatencySum << "}";
+    }
 }
 
 } // namespace

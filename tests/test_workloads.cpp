@@ -4,7 +4,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "common/intmath.hpp"
+#include "common/rng.hpp"
 #include "core/addr_gen.hpp"
+#include "workloads/apps/app_common.hpp"
 #include "workloads/graph_gen.hpp"
 #include "workloads/sparse_matrix.hpp"
 #include "workloads/trace_builder.hpp"
@@ -48,6 +54,80 @@ TEST(GraphGen, Deterministic)
     EXPECT_EQ(a.col, b.col);
     Csr c = makeRmatGraph(1024, 4096, 8);
     EXPECT_NE(a.col, c.col);
+}
+
+/**
+ * RMAT with the quadrant picked by an if/else chain on each level's
+ * draw: the generator's original form, kept as the reference its
+ * branch-free selection must reproduce bit for bit.
+ */
+Csr
+branchyRmat(std::uint32_t num_vertices, std::uint32_t num_edges,
+            std::uint64_t seed)
+{
+    const RmatParams p{};
+    Rng rng(seed);
+    int levels = floorLog2(num_vertices);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    for (std::uint32_t e = 0; e < num_edges; ++e) {
+        std::uint32_t src = 0, dst = 0;
+        for (int l = 0; l < levels; ++l) {
+            double r = rng.uniform();
+            std::uint32_t sbit, dbit;
+            if (r < p.a) {
+                sbit = 0;
+                dbit = 0;
+            } else if (r < p.a + p.b) {
+                sbit = 0;
+                dbit = 1;
+            } else if (r < p.a + p.b + p.c) {
+                sbit = 1;
+                dbit = 0;
+            } else {
+                sbit = 1;
+                dbit = 1;
+            }
+            src = (src << 1) | sbit;
+            dst = (dst << 1) | dbit;
+        }
+        edges.emplace_back(src, dst);
+    }
+    // Rows in vertex order, neighbours sorted: the canonical CSR.
+    std::sort(edges.begin(), edges.end());
+    Csr g;
+    g.numRows = g.numCols = num_vertices;
+    g.rowPtr.assign(std::size_t{num_vertices} + 1, 0);
+    for (const auto &[src, dst] : edges) {
+        ++g.rowPtr[src + 1];
+        g.col.push_back(dst);
+    }
+    for (std::uint32_t v = 0; v < num_vertices; ++v)
+        g.rowPtr[v + 1] += g.rowPtr[v];
+    return g;
+}
+
+TEST(GraphGen, RmatMatchesBranchyReference)
+{
+    for (std::uint64_t seed : {1ull, 42ull, 1205ull, ~0ull}) {
+        for (std::uint32_t vertices : {2u, 16u, 1024u, 65536u}) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed
+                                            << ", vertices " << vertices);
+            Csr got = makeRmatGraph(vertices, vertices * 8, seed);
+            Csr want = branchyRmat(vertices, vertices * 8, seed);
+            EXPECT_EQ(got.rowPtr, want.rowPtr);
+            EXPECT_EQ(got.col, want.col);
+        }
+    }
+}
+
+TEST(AppCommon, Pow2FloorCoversEveryUint32)
+{
+    EXPECT_EQ(pow2Floor(0), 1u);
+    EXPECT_EQ(pow2Floor(1), 1u);
+    EXPECT_EQ(pow2Floor(4095), 2048u);
+    EXPECT_EQ(pow2Floor(4096), 4096u);
+    EXPECT_EQ(pow2Floor(0x80000000u), 0x80000000u);
+    EXPECT_EQ(pow2Floor(0xFFFFFFFFu), 0x80000000u);
 }
 
 TEST(SparseMatrix, BandedWellFormedWithDiagonal)
@@ -247,6 +327,31 @@ TEST(Workloads, SpmvIndirectAddressesMatchMemoryImage)
         }
     }
     EXPECT_GT(checked, 50);
+}
+
+TEST(Workloads, TriCountTracesAreExactlySized)
+{
+    // tri_count counts each core's accesses from the graph's degrees
+    // and reserves exactly that many; a count that drifts from the
+    // emission loop leaves slack or regrows the vector.
+    for (double scale : {0.01, 0.25}) {
+        for (std::uint32_t cores : {1u, 4u, 16u}) {
+            for (bool swpf : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "scale " << scale << ", cores " << cores
+                             << ", swpf " << swpf);
+                WorkloadParams p;
+                p.numCores = cores;
+                p.scale = scale;
+                p.swPrefetch = swpf;
+                Workload w = makeWorkload(AppId::TriCount, p);
+                for (const CoreTrace &t : w.traces) {
+                    EXPECT_FALSE(t.accesses.empty());
+                    EXPECT_EQ(t.accesses.capacity(), t.accesses.size());
+                }
+            }
+        }
+    }
 }
 
 TEST(Workloads, StreamingHasNoIndirect)

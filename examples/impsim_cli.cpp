@@ -15,8 +15,6 @@
  *              [override flags as above]
  *   impsim_cli --fetch ID --server ADDR
  *   impsim_cli --list --server ADDR
- *   impsim_cli --bench-json FILE [--bench-grid NAME[,NAME...]]
- *              [--bench-reps N]
  *   impsim_cli --record-trace FILE [--app NAME] [--cores N]
  *              [--scale F] [--seed N] [--preset NAME]
  *
@@ -32,13 +30,11 @@
  * ".gz"/".xz" suffixes compress through gzip/xz. Replaying the file
  * reproduces the recorded run bit-exactly. --preset only picks the
  * software-prefetch flavor here (SWPref records the sw-prefetch
- * variant).
+ * variant). A write error, a compressor that fails or exits early
+ * included, prints the trace diagnostic and exits 1.
  *
- * --bench-json FILE times the pinned simulator-speed grids (default
- * "pinned,fig9"; see docs/perf.md) and writes machine-readable JSON
- * to FILE — the mode that records `BENCH_<n>.json`. --bench-grid
- * picks grids (pinned, fig9, smoke), --bench-reps N takes the best
- * of N timed repetitions per point.
+ * Simulator speed is timed by bench/perf_harness over the
+ * examples/configs/perf_*.imp.ini grids (docs/perf.md), not here.
  *
  * --submit FILE sends the config to an `impsim_serve` instance at
  * --server ADDR (a Unix socket path, or "tcp:HOST:PORT") and streams
@@ -91,7 +87,6 @@
  *   impsim_cli --app graph500 --prefetcher=none --l2-prefetcher=imp
  */
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -100,7 +95,6 @@
 #include "common/config_file.hpp"
 #include "server/client.hpp"
 #include "sim/experiment_runner.hpp"
-#include "sim/perf_bench.hpp"
 #include "workloads/trace_io.hpp"
 #include "workloads/workload.hpp"
 
@@ -219,9 +213,6 @@ main(int argc, char **argv)
     std::string presets;
     bool csv = false;
     unsigned jobs = 0;
-    std::string benchJson;
-    std::string benchGrids = "pinned,fig9";
-    std::uint32_t benchReps = 1;
     std::string recordTracePath;
 
     for (int i = 1; i < argc; ++i) {
@@ -280,17 +271,6 @@ main(int argc, char **argv)
             jobs = parseU32(a, next());
         else if (a == "--record-trace")
             recordTracePath = next();
-        else if (a == "--bench-json")
-            benchJson = next();
-        else if (a == "--bench-grid")
-            benchGrids = next();
-        else if (a == "--bench-reps") {
-            benchReps = parseU32(a, next());
-            if (benchReps < 1) {
-                std::fprintf(stderr, "--bench-reps must be positive\n");
-                return 1;
-            }
-        }
         else if (const ConfigKey *key = findFlag(a)) {
             // Every other override flag is "name=value" text that the
             // binder reads and checks like a config value.
@@ -306,33 +286,6 @@ main(int argc, char **argv)
             std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
             return 1;
         }
-    }
-
-    if (!benchJson.empty()) {
-        std::vector<PerfGrid> grids;
-        for (const std::string &name : splitCommaList(benchGrids)) {
-            PerfGrid g;
-            if (!parsePerfGridName(name, g)) {
-                std::fprintf(stderr,
-                             "unknown bench grid '%s' (try pinned, "
-                             "fig9, smoke)\n",
-                             name.c_str());
-                return 1;
-            }
-            grids.push_back(g);
-        }
-        PerfBenchResult r =
-            runPerfBench(grids, static_cast<int>(benchReps));
-        writePerfSummary(std::cout, r);
-        std::ofstream out(benchJson);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         benchJson.c_str());
-            return 1;
-        }
-        writePerfJson(out, r);
-        std::printf("wrote %s\n", benchJson.c_str());
-        return 0;
     }
 
     if (check && config.empty()) {

@@ -13,7 +13,9 @@ gate on shared infrastructure would flake. Each grid's set-up time
 (phases.workload_ms) is printed beside its sims/sec with its ratio to
 the baseline; that line is informational and never fails the check. Set IMPSIM_PERF_STRICT=1
 (or pass --strict) to turn a regression beyond --max-regression into
-a non-zero exit.
+a non-zero exit. A grid whose run labels differ from the baseline's
+(its examples/configs/perf_<grid>.imp.ini was edited) gets an
+informational note saying so.
 """
 
 import argparse
@@ -35,6 +37,14 @@ def find_baseline(root):
 
 def grids_by_name(doc):
     return {g["name"]: g for g in doc.get("grids", [])}
+
+
+def run_labels(grid):
+    """The grid's run labels in run order, or None if it lists none."""
+    runs = grid.get("runs")
+    if not isinstance(runs, list):
+        return None
+    return [r.get("label") for r in runs if isinstance(r, dict)]
 
 
 def load_grids(path, label):
@@ -127,11 +137,25 @@ def main():
             wratio = f"{cw / bw:.2f}x" if bw > 0 else "n/a"
             print(f"perf_check: {name}: workload_ms {cw:.1f} vs "
                   f"baseline {bw:.1f} ({wratio}, informational)")
+        # An edited grid file changes the work itself; say so rather
+        # than let the cycles note below blame a behavior change.
+        bl = run_labels(base[name])
+        cl = run_labels(cur[name])
+        drifted = bl is not None and cl is not None and bl != cl
+        if drifted:
+            added = sum(1 for label in cl if label not in bl)
+            removed = sum(1 for label in bl if label not in cl)
+            how = (f"{len(bl)} -> {len(cl)} runs, {added} added, "
+                   f"{removed} removed" if added or removed
+                   else "same runs in another order")
+            print(f"perf_check: note: {name} runs differ from the "
+                  f"baseline's ({how}); the grid changed, so the two "
+                  f"time different work (informational)")
         # Throughput aside, the same simulator version must simulate
         # the same cycles; drift here usually means the baseline needs
         # re-recording after an intentional behavior change.
         bc, cc = base[name].get("sim_cycles"), cur[name].get("sim_cycles")
-        if bc is not None and cc is not None and bc != cc:
+        if bc is not None and cc is not None and bc != cc and not drifted:
             print(f"perf_check: note: {name} simulated cycles differ "
                   f"({bc} -> {cc}); baseline predates a behavior "
                   f"change (informational)")

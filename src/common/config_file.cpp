@@ -645,6 +645,9 @@ setApp(Bound &b, const Setting &s)
     std::string rel = traceAppPath(name);
     if (rel.empty())
         failAt(s, "trace app spec needs a file: trace:<path>");
+    // The OS reads a path only up to its first NUL: a different file.
+    if (rel.find('\0') != std::string::npos)
+        failAt(s, "trace path contains a NUL byte");
     std::string path = resolveTracePath(s.origin, rel);
     TraceProbeCache &traces = *b.traces;
     auto okIt = traces.ok.find(path);

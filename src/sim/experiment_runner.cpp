@@ -4,6 +4,7 @@
  */
 #include "sim/experiment_runner.hpp"
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -32,7 +33,8 @@ workloadParams(const ExperimentRun &r)
 
 bool
 simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
-             const ExperimentRunOptions &opt, std::vector<SimStats> &stats)
+             const ExperimentRunOptions &opt, std::vector<SimStats> &stats,
+             SimulateTimes *times)
 {
     stats.clear();
     SweepControl *ctl = opt.control;
@@ -47,15 +49,19 @@ simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
     std::map<Key, std::unique_ptr<Workload>> workloads;
     std::vector<SweepJob> sweep;
     sweep.reserve(indices.size());
+    std::chrono::duration<double, std::milli> workloadMs{0};
     for (std::size_t idx : indices) {
         IMPSIM_CHECK(idx < exp.runs.size(),
                      "experiment run index out of range");
         const ExperimentRun &r = exp.runs[idx];
         auto &w = workloads[Key{r.app, r.cfg.numCores, r.swPrefetch,
                                 r.scale, r.seed, r.tracePath}];
-        if (!w)
+        if (!w) {
+            const auto t0 = std::chrono::steady_clock::now();
             w = std::make_unique<Workload>(
                 makeWorkload(r.app, workloadParams(r)));
+            workloadMs += std::chrono::steady_clock::now() - t0;
+        }
         sweep.push_back(SweepJob{r.label, r.cfg, &w->traces, w->mem.get()});
     }
     if (ctl && ctl->cancelled())
@@ -75,6 +81,12 @@ simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
         if (!r.ran)
             return false;
         stats.push_back(std::move(r.stats));
+    }
+    if (times) {
+        times->workloadMs = workloadMs.count();
+        times->runMs.clear();
+        for (const SweepResult &r : results)
+            times->runMs.push_back(r.runMs);
     }
     return true;
 }

@@ -5,10 +5,11 @@
  * simulateRuns() is the only code that turns an Experiment into
  * simulations. Every front end goes through it: `impsim_cli` flag mode
  * and `--config`, the job server (local pool and fabric worker
- * alike), the bench_* figure binaries and the tests. Their outputs
- * are therefore bit-identical by construction: one expanded run
- * prints the full report (unless forced to CSV), several fan out over
- * a SweepRunner and print one CSV row per run, in sweep order.
+ * alike), the bench_* figure binaries, perf_harness and the tests.
+ * Their outputs are therefore bit-identical by construction: one
+ * expanded run prints the full report (unless forced to CSV), several
+ * fan out over a SweepRunner and print one CSV row per run, in sweep
+ * order.
  */
 #ifndef IMPSIM_SIM_EXPERIMENT_RUNNER_HPP
 #define IMPSIM_SIM_EXPERIMENT_RUNNER_HPP
@@ -40,20 +41,31 @@ struct ExperimentRunOptions
 /** The workload parameters (inputs, trace file) of run @p r. */
 WorkloadParams workloadParams(const ExperimentRun &r);
 
+/** Host wall times of one simulateRuns() call (docs/perf.md). */
+struct SimulateTimes
+{
+    /** Building every distinct workload: generation or trace decode. */
+    double workloadMs = 0;
+    /** runMs[i]: System::run() time of run indices[i]. */
+    std::vector<double> runMs;
+};
+
 /**
  * Simulates the runs of @p exp named by @p indices (each <
  * exp.runs.size()); stats[i] receives run indices[i]'s statistics.
  * Workloads are built once per distinct (app, cores, swpf, scale,
- * seed, trace path) among those runs. opt.csv is ignored.
+ * seed, trace path) among those runs. opt.csv is ignored. A non-null
+ * @p times receives the host times the call measured.
  *
  * @return false iff cancelled through opt.control (or the pool
- *         closed) before every indexed run finished; @p stats is
- *         unspecified then.
+ *         closed) before every indexed run finished; @p stats and
+ *         @p times are unspecified then.
  */
 bool simulateRuns(const Experiment &exp,
                   const std::vector<std::size_t> &indices,
                   const ExperimentRunOptions &opt,
-                  std::vector<SimStats> &stats);
+                  std::vector<SimStats> &stats,
+                  SimulateTimes *times = nullptr);
 
 /**
  * Runs every expanded run of @p exp and writes the report (single

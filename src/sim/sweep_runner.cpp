@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -276,7 +277,12 @@ SweepRunner::run(const std::vector<SweepJob> &jobs, SweepControl *ctl,
             }
             const SweepJob &job = jobs[i];
             System sys(job.cfg, *job.traces, *job.mem);
-            results[i] = SweepResult{job.name, sys.run(job.limit), true};
+            const auto t0 = std::chrono::steady_clock::now();
+            SimStats stats = sys.run(job.limit);
+            const std::chrono::duration<double, std::milli> runMs =
+                std::chrono::steady_clock::now() - t0;
+            results[i] =
+                SweepResult{job.name, std::move(stats), true, runMs.count()};
             if (lease)
                 lease->release();
             if (ctl && ctl->onProgress) {

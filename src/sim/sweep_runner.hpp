@@ -54,6 +54,8 @@ struct SweepResult
     SimStats stats;
     /** False when the batch was cancelled before this job started. */
     bool ran = true;
+    /** Host wall time of System::run(), construction excluded. */
+    double runMs = 0;
 };
 
 /**

@@ -4,8 +4,13 @@
  */
 #include "workloads/trace_io.hpp"
 
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
+
+#include <pthread.h>
 
 #include "common/access_type.hpp"
 #include "common/logging.hpp"
@@ -254,6 +259,47 @@ class FileSink : public ByteSink
     std::FILE *f_;
 };
 
+/**
+ * Blocks SIGPIPE on this thread while alive, so writing into a
+ * compressor that has already exited fails with EPIPE instead of
+ * killing the process. A SIGPIPE raised inside the window is consumed
+ * before the mask is restored; one pending before it stays pending.
+ */
+class SigpipeBlock
+{
+  public:
+    SigpipeBlock()
+    {
+        sigemptyset(&pipe_);
+        sigaddset(&pipe_, SIGPIPE);
+        sigset_t pending;
+        wasPending_ = sigpending(&pending) == 0 &&
+                      sigismember(&pending, SIGPIPE) == 1;
+        pthread_sigmask(SIG_BLOCK, &pipe_, &saved_);
+    }
+
+    ~SigpipeBlock()
+    {
+        sigset_t pending;
+        if (!wasPending_ && sigpending(&pending) == 0 &&
+            sigismember(&pending, SIGPIPE) == 1) {
+            const timespec noWait{0, 0};
+            while (sigtimedwait(&pipe_, nullptr, &noWait) == -1 &&
+                   errno == EINTR) {
+            }
+        }
+        pthread_sigmask(SIG_SETMASK, &saved_, nullptr);
+    }
+
+    SigpipeBlock(const SigpipeBlock &) = delete;
+    SigpipeBlock &operator=(const SigpipeBlock &) = delete;
+
+  private:
+    sigset_t pipe_;
+    sigset_t saved_;
+    bool wasPending_;
+};
+
 class PipeSink : public ByteSink
 {
   public:
@@ -264,6 +310,8 @@ class PipeSink : public ByteSink
 
     ~PipeSink() override
     {
+        // Reached after a write threw: pclose flushes what is still
+        // buffered into the dead pipe.
         if (f_)
             ::pclose(f_);
     }
@@ -290,6 +338,10 @@ class PipeSink : public ByteSink
     }
 
   private:
+    // First member, so it is destroyed last: the window spans every
+    // write and flush, the destructor's pclose included. A sink is
+    // opened, written and destroyed on one thread.
+    SigpipeBlock block_;
     std::string path_;
     std::string command_;
     std::FILE *f_;

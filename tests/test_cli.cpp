@@ -59,3 +59,17 @@ TEST(CliFlagMode, BadValuesAreCommandLineDiagnostics)
             << r.stderrText;
     }
 }
+
+TEST(CliRecordTrace, DeadCompressorIsATraceError)
+{
+    // The compressor's shell cannot create the file and exits at once,
+    // so the trace is written into a closed pipe: that must end in the
+    // TraceError line and exit 1, not in death by SIGPIPE.
+    CliResult r = runCli("--record-trace /nonexistent/dir/t.imptrace.gz "
+                         "--app spmv --cores 4 --scale 0.05");
+    EXPECT_EQ(r.status, 1) << r.stderrText;
+    // "<path>: byte N: ...", not the shell's own complaint.
+    EXPECT_NE(r.stderrText.find("/nonexistent/dir/t.imptrace.gz: byte "),
+              std::string::npos)
+        << r.stderrText;
+}

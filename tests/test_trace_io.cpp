@@ -253,7 +253,18 @@ TEST(TraceIo, RoundTripsThroughXzCodec)
         EXPECT_TRUE(decoded[i] == recs[i]) << "record " << i;
 }
 
-TEST(TraceIo, EveryPrefixTruncationRaisesTraceError)
+/**
+ * Every prefix truncation, in IMPSIM_PREFIX_SHARDS shards: shard k
+ * checks the lengths congruent to k, so together the shards check
+ * every length from 0 to size-1 exactly once. The cost is quadratic
+ * in the fixture, so ctest runs each shard as an entry of its own
+ * (CMakeLists.txt) and -j spreads them.
+ */
+class TraceIoPrefix : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(TraceIoPrefix, EveryPrefixTruncationRaisesTraceError)
 {
     std::mt19937 rng(0x7005EEDu);
     TempTrace file("truncsrc");
@@ -264,9 +275,19 @@ TEST(TraceIo, EveryPrefixTruncationRaisesTraceError)
     const std::string bytes = readFileBytes(file.path());
     ASSERT_GT(bytes.size(), kTraceHeaderBytes);
 
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        std::string prefix = bytes.substr(0, len);
-        writeFileBytes(scratch.path(), prefix);
+    // Longest prefix first: truncating one file in place puts each
+    // prefix on disk without writing its bytes again.
+    std::vector<std::size_t> lens;
+    for (std::size_t len = GetParam(); len < bytes.size();
+         len += IMPSIM_PREFIX_SHARDS)
+        lens.push_back(len);
+    writeFileBytes(scratch.path(), bytes);
+    for (auto it = lens.rbegin(); it != lens.rend(); ++it) {
+        const std::size_t len = *it;
+        ASSERT_EQ(::truncate(scratch.path().c_str(),
+                             static_cast<off_t>(len)),
+                  0)
+            << len;
         EXPECT_THROW(
             {
                 TraceReader reader(openTraceSource(scratch.path()));
@@ -280,6 +301,10 @@ TEST(TraceIo, EveryPrefixTruncationRaisesTraceError)
             << "prefix length " << len << " of " << bytes.size();
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PrefixShard, TraceIoPrefix,
+    ::testing::Range(std::size_t{0}, std::size_t{IMPSIM_PREFIX_SHARDS}));
 
 TEST(TraceIo, ByteMutationRoundsNeverEscapeTraceError)
 {
@@ -405,6 +430,15 @@ TEST(TraceIo, MissingFileAndFailingCodecAreDiagnosed)
         },
         TraceError);
     EXPECT_THROW(writeTraceFile(file.path(), 1, {}, nullptr), TraceError);
+
+    // More than a pipe buffer's worth: the writer hits the dead filter
+    // mid-stream, which must be EPIPE and a TraceError, not SIGPIPE.
+    std::mt19937 rng(0xB16u);
+    std::vector<TraceRecord> recs = randomRecords(rng, 1, 20000);
+    TempTrace plain("bigplain");
+    writeTraceFile(plain.path(), 1, recs, nullptr);
+    ASSERT_GT(readFileBytes(plain.path()).size(), 64u << 10);
+    EXPECT_THROW(writeTraceFile(file.path(), 1, recs, nullptr), TraceError);
 }
 
 TEST(TraceIo, ProbeMatchesFullDecodeSummary)

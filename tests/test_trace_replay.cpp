@@ -293,6 +293,21 @@ TEST(TraceBinding, EmptyTraceSpecAndUnknownAppStayDiagnosed)
                  ConfigError);
 }
 
+TEST(TraceBinding, NulByteInTracePathIsDiagnosed)
+{
+    // The OS would open only the part before the NUL; found by
+    // ConfigFuzz as a diagnostic whose message was empty.
+    const std::string text = std::string("[system]\napp = \"trace:") +
+                             '\0' + "x.imptrace\"\ncores = 4\n";
+    try {
+        bindExperiment(ConfigFile::parseString(text, "bind.ini"));
+        FAIL() << "bind accepted a NUL in a trace path";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.line(), 2) << e.what();
+        EXPECT_EQ(e.message(), "trace path contains a NUL byte");
+    }
+}
+
 TEST(TraceBinding, TraceRunsAreLabelledByBasename)
 {
     WorkloadParams params;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Golden-report regression tests: per-preset CSVs from a fixed-seed
- * smoke configuration, checked in under tests/golden/, must match the
- * current simulator bit-for-bit. A perf-motivated refactor that
+ * Golden-report regression tests: per-preset CSVs and the single-run
+ * text report from a fixed-seed smoke configuration, checked in under
+ * tests/golden/, must match the current simulator bit-for-bit. A perf-motivated refactor that
  * changes simulated results now fails here instead of slipping
  * through silently.
  *
@@ -10,7 +10,7 @@
  *
  *   IMPSIM_REGEN_GOLDEN=1 ./build/test_golden_regression
  *
- * then review and commit the tests/golden/*.csv diff. The regen path
+ * then review and commit the tests/golden/ diff. The regen path
  * writes into the source tree via IMPSIM_SOURCE_DIR.
  */
 #include <gtest/gtest.h>
@@ -47,27 +47,32 @@ regenRequested()
     return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
-/** Runs config @p text (origin @p name) and returns its CSV. */
+/**
+ * Runs config @p text (origin @p name) and returns its output: CSV,
+ * or for a one-run config with @p csv false, the text report.
+ */
 std::string
-currentCsv(const std::string &name, const std::string &text)
+currentOutput(const std::string &name, const std::string &text,
+              bool csv = true)
 {
     Experiment exp =
         bindExperiment(ConfigFile::parseString(text, name));
     std::ostringstream os;
     ExperimentRunOptions opt;
-    opt.csv = true;
+    opt.csv = csv;
     EXPECT_TRUE(runExperiment(exp, os, opt));
     return os.str();
 }
 
+/** Compares @p output with tests/golden/@p file (or rewrites it). */
 void
-expectMatchesGolden(const std::string &stem, const std::string &csv)
+expectMatchesGolden(const std::string &file, const std::string &output)
 {
-    const std::string path = goldenDir() + stem + ".csv";
+    const std::string path = goldenDir() + file;
     if (regenRequested()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
-        out << csv;
+        out << output;
         SUCCEED() << "regenerated " << path;
         return;
     }
@@ -77,8 +82,8 @@ expectMatchesGolden(const std::string &stem, const std::string &csv)
                        "IMPSIM_REGEN_GOLDEN=1 ./test_golden_regression";
     std::ostringstream golden;
     golden << in.rdbuf();
-    EXPECT_EQ(csv, golden.str())
-        << "simulated results changed for " << stem
+    EXPECT_EQ(output, golden.str())
+        << "simulated results changed for " << file
         << "; if intentional, regenerate tests/golden/ with "
            "IMPSIM_REGEN_GOLDEN=1 ./test_golden_regression and commit "
            "the diff";
@@ -96,7 +101,8 @@ TEST_P(GoldenPreset, CsvMatchesCheckedInGolden)
     std::string stem = preset;
     for (char &c : stem)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    expectMatchesGolden(stem, currentCsv("golden:" + preset, text));
+    expectMatchesGolden(stem + ".csv",
+                        currentOutput("golden:" + preset, text));
 }
 
 // One golden per preset the paper's figures lean on (the partial
@@ -118,7 +124,8 @@ TEST(GoldenOoo, SixteenCoreOooMatchesCheckedInGolden)
         "cores      = 16\n"
         "scale      = 0.05\n"
         "seed       = 42\n";
-    expectMatchesGolden("imp_ooo_16c", currentCsv("golden:ooo16", text));
+    expectMatchesGolden("imp_ooo_16c.csv",
+                        currentOutput("golden:ooo16", text));
 }
 
 TEST(GoldenSweep, ShippedSmokeConfigMatchesCheckedInGolden)
@@ -131,8 +138,28 @@ TEST(GoldenSweep, ShippedSmokeConfigMatchesCheckedInGolden)
     ASSERT_TRUE(in);
     std::ostringstream text;
     text << in.rdbuf();
-    expectMatchesGolden("smoke_sweep",
-                        currentCsv("golden:smoke", text.str()));
+    expectMatchesGolden("smoke_sweep.csv",
+                        currentOutput("golden:smoke", text.str()));
+}
+
+TEST(GoldenReport, SingleRunReportMatchesCheckedInGolden)
+{
+    // The text report a one-run config prints, on the IMP smoke
+    // machine: its layout and every counter it lists.
+    const std::string text = "[system]\npreset = IMP\n" +
+                             std::string(kSmokeBase);
+    expectMatchesGolden("imp_report.txt",
+                        currentOutput("golden:report", text, false));
+}
+
+TEST(GoldenReport, TlbOnReportMatchesCheckedInGolden)
+{
+    // The same machine with the TLB model on adds the TLB section.
+    const std::string text = "[system]\npreset = IMP\n" +
+                             std::string(kSmokeBase) +
+                             "[tlb]\nenable = true\n";
+    expectMatchesGolden("imp_tlb_report.txt",
+                        currentOutput("golden:report-tlb", text, false));
 }
 
 } // namespace

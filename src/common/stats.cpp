@@ -4,48 +4,20 @@
  */
 #include "common/stats.hpp"
 
-#include <cstdio>
-
 namespace impsim {
 
-void
-CoreStats::merge(const CoreStats &o)
+namespace {
+
+/** @p scale * @p num / @p den, or 0 when @p den is 0. */
+double
+ratio(std::uint64_t num, std::uint64_t den, double scale = 1.0)
 {
-    instructions += o.instructions;
-    memAccesses += o.memAccesses;
-    loads += o.loads;
-    stores += o.stores;
-    swPrefetches += o.swPrefetches;
-    if (o.finishTick > finishTick)
-        finishTick = o.finishTick;
-    for (int i = 0; i < kNumAccessTypes; ++i)
-        stallCycles[i] += o.stallCycles[i];
-    loadLatencySum += o.loadLatencySum;
-    loadLatencyCount += o.loadLatencyCount;
+    return den == 0 ? 0.0
+                    : scale * static_cast<double>(num) /
+                          static_cast<double>(den);
 }
 
-void
-CacheStats::merge(const CacheStats &o)
-{
-    hits += o.hits;
-    misses += o.misses;
-    sectorMisses += o.sectorMisses;
-    demandMerges += o.demandMerges;
-    retries += o.retries;
-    evictions += o.evictions;
-    writebacks += o.writebacks;
-    for (int i = 0; i < kNumAccessTypes; ++i) {
-        missesByType[i] += o.missesByType[i];
-        accessesByType[i] += o.accessesByType[i];
-    }
-    prefIssued += o.prefIssued;
-    prefIssuedIndirect += o.prefIssuedIndirect;
-    prefIssuedStream += o.prefIssuedStream;
-    prefUpgrades += o.prefUpgrades;
-    prefUsefulFirstTouch += o.prefUsefulFirstTouch;
-    prefLate += o.prefLate;
-    prefUnused += o.prefUnused;
-}
+} // namespace
 
 double
 CacheStats::coverage() const
@@ -54,10 +26,7 @@ CacheStats::coverage() const
     // A "captured" miss is a demand access that found its line already
     // prefetched (first touch) or in flight from a prefetch (late).
     std::uint64_t captured = prefUsefulFirstTouch + prefLate;
-    std::uint64_t total = captured + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(captured) /
-                            static_cast<double>(total);
+    return ratio(captured, captured + misses);
 }
 
 double
@@ -65,107 +34,43 @@ CacheStats::accuracy() const
 {
     // Paper §6.1.1: prefetched lines later accessed / total prefetches.
     std::uint64_t used = prefUsefulFirstTouch + prefLate;
-    std::uint64_t judged = used + prefUnused;
-    return judged == 0 ? 0.0
-                       : static_cast<double>(used) /
-                             static_cast<double>(judged);
-}
-
-void
-TlbStats::merge(const TlbStats &o)
-{
-    enabled = enabled || o.enabled;
-    l1Hits += o.l1Hits;
-    l1Misses += o.l1Misses;
-    l2Hits += o.l2Hits;
-    l2Misses += o.l2Misses;
-    walks += o.walks;
-    walkJoins += o.walkJoins;
-    walkAccesses += o.walkAccesses;
-    walkCycles += o.walkCycles;
-    stallCycles += o.stallCycles;
-    pfSamePage += o.pfSamePage;
-    pfCrossDropped += o.pfCrossDropped;
-    pfCrossStalled += o.pfCrossStalled;
-    pfCrossTranslated += o.pfCrossTranslated;
-    pfTranslateDropped += o.pfTranslateDropped;
+    return ratio(used, used + prefUnused);
 }
 
 double
 TlbStats::l1Mpki(std::uint64_t instructions) const
 {
-    return instructions == 0 ? 0.0
-                             : 1000.0 * static_cast<double>(l1Misses) /
-                                   static_cast<double>(instructions);
+    return ratio(l1Misses, instructions, 1000.0);
 }
 
 double
 TlbStats::l2Mpki(std::uint64_t instructions) const
 {
-    return instructions == 0 ? 0.0
-                             : 1000.0 * static_cast<double>(l2Misses) /
-                                   static_cast<double>(instructions);
+    return ratio(l2Misses, instructions, 1000.0);
 }
 
 double
 TlbStats::avgWalkCycles() const
 {
-    return walks == 0 ? 0.0
-                      : static_cast<double>(walkCycles) /
-                            static_cast<double>(walks);
-}
-
-void
-NocStats::merge(const NocStats &o)
-{
-    messages += o.messages;
-    flits += o.flits;
-    flitHops += o.flitHops;
-    bytes += o.bytes;
-    queueCycles += o.queueCycles;
-}
-
-void
-DramStats::merge(const DramStats &o)
-{
-    reads += o.reads;
-    writes += o.writes;
-    bytesRead += o.bytesRead;
-    bytesWritten += o.bytesWritten;
-    rowHits += o.rowHits;
-    rowMisses += o.rowMisses;
-    queueCycles += o.queueCycles;
+    return ratio(walkCycles, walks);
 }
 
 double
 SimStats::ipc() const
 {
-    return cycles == 0 ? 0.0
-                       : static_cast<double>(core.instructions) /
-                             static_cast<double>(cycles);
+    return ratio(core.instructions, cycles);
 }
 
 double
 SimStats::avgLoadLatency() const
 {
-    return core.loadLatencyCount == 0
-               ? 0.0
-               : static_cast<double>(core.loadLatencySum) /
-                     static_cast<double>(core.loadLatencyCount);
+    return ratio(core.loadLatencySum, core.loadLatencyCount);
 }
 
 std::uint64_t
 SimStats::l1MissOpportunities() const
 {
     return l1.misses + l1.prefUsefulFirstTouch + l1.prefLate;
-}
-
-std::string
-fmtCell(double v, int width, int prec)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%*.*f", width, prec, v);
-    return buf;
 }
 
 } // namespace impsim

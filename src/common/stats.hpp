@@ -6,19 +6,57 @@
  * derived metrics the paper reports (coverage, accuracy, normalised
  * latency, traffic) are computed here so benches and tests share one
  * definition.
+ *
+ * Each struct lists its counters in forEachCounter(f), which calls
+ * f(name, member pointer, Merge rule) once per field, in field order.
+ * merge() and the text report loop over those lists, so a field is
+ * named only where it is declared and in its row.
  */
 #ifndef IMPSIM_COMMON_STATS_HPP
 #define IMPSIM_COMMON_STATS_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/access_type.hpp"
 #include "common/types.hpp"
 
 namespace impsim {
+
+/** How merge() combines one counter of two structs. */
+enum class Merge
+{
+    Sum, ///< Add; arrays add element by element.
+    Max, ///< Keep the larger value; for a bool, true if either is.
+};
+
+/** Combines counter @p from into @p into by @p rule. */
+template <typename T>
+void
+mergeCounter(T &into, const T &from, Merge rule)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        into = into || from;
+    } else if constexpr (std::is_integral_v<T>) {
+        into = rule == Merge::Sum ? into + from : std::max(into, from);
+    } else {
+        for (std::size_t i = 0; i < into.size(); ++i)
+            mergeCounter(into[i], from[i], rule);
+    }
+}
+
+/** Merges every counter of @p from into @p into, row by row. */
+template <typename S>
+void
+mergeCounters(S &into, const S &from)
+{
+    S::forEachCounter([&](const char *, auto member, Merge rule) {
+        mergeCounter(into.*member, from.*member, rule);
+    });
+}
 
 /** Per-core execution counters. */
 struct CoreStats
@@ -35,7 +73,22 @@ struct CoreStats
     std::uint64_t loadLatencySum = 0;
     std::uint64_t loadLatencyCount = 0;
 
-    void merge(const CoreStats &o);
+    template <typename F>
+    static void forEachCounter(F &&f)
+    {
+        using S = CoreStats;
+        f("instructions", &S::instructions, Merge::Sum);
+        f("memAccesses", &S::memAccesses, Merge::Sum);
+        f("loads", &S::loads, Merge::Sum);
+        f("stores", &S::stores, Merge::Sum);
+        f("swPrefetches", &S::swPrefetches, Merge::Sum);
+        f("finishTick", &S::finishTick, Merge::Max);
+        f("stallCycles", &S::stallCycles, Merge::Sum);
+        f("loadLatencySum", &S::loadLatencySum, Merge::Sum);
+        f("loadLatencyCount", &S::loadLatencyCount, Merge::Sum);
+    }
+
+    void merge(const CoreStats &o) { mergeCounters(*this, o); }
 };
 
 /**
@@ -74,7 +127,29 @@ struct alignas(64) CacheStats
     std::uint64_t prefLate = 0;         ///< Demand merged into inflight pf.
     std::uint64_t prefUnused = 0;       ///< Prefetched line evicted untouched.
 
-    void merge(const CacheStats &o);
+    template <typename F>
+    static void forEachCounter(F &&f)
+    {
+        using S = CacheStats;
+        f("accessesByType", &S::accessesByType, Merge::Sum);
+        f("hits", &S::hits, Merge::Sum);
+        f("misses", &S::misses, Merge::Sum);
+        f("missesByType", &S::missesByType, Merge::Sum);
+        f("sectorMisses", &S::sectorMisses, Merge::Sum);
+        f("demandMerges", &S::demandMerges, Merge::Sum);
+        f("retries", &S::retries, Merge::Sum);
+        f("evictions", &S::evictions, Merge::Sum);
+        f("writebacks", &S::writebacks, Merge::Sum);
+        f("prefIssued", &S::prefIssued, Merge::Sum);
+        f("prefIssuedIndirect", &S::prefIssuedIndirect, Merge::Sum);
+        f("prefIssuedStream", &S::prefIssuedStream, Merge::Sum);
+        f("prefUpgrades", &S::prefUpgrades, Merge::Sum);
+        f("prefUsefulFirstTouch", &S::prefUsefulFirstTouch, Merge::Sum);
+        f("prefLate", &S::prefLate, Merge::Sum);
+        f("prefUnused", &S::prefUnused, Merge::Sum);
+    }
+
+    void merge(const CacheStats &o) { mergeCounters(*this, o); }
 
     /** Fraction of would-be misses covered by prefetching. */
     double coverage() const;
@@ -107,7 +182,28 @@ struct TlbStats
     std::uint64_t pfCrossTranslated = 0; ///< Translate policy: L2-TLB hit.
     std::uint64_t pfTranslateDropped = 0; ///< Translate: busy port / L2 miss.
 
-    void merge(const TlbStats &o);
+    template <typename F>
+    static void forEachCounter(F &&f)
+    {
+        using S = TlbStats;
+        f("enabled", &S::enabled, Merge::Max);
+        f("l1Hits", &S::l1Hits, Merge::Sum);
+        f("l1Misses", &S::l1Misses, Merge::Sum);
+        f("l2Hits", &S::l2Hits, Merge::Sum);
+        f("l2Misses", &S::l2Misses, Merge::Sum);
+        f("walks", &S::walks, Merge::Sum);
+        f("walkJoins", &S::walkJoins, Merge::Sum);
+        f("walkAccesses", &S::walkAccesses, Merge::Sum);
+        f("walkCycles", &S::walkCycles, Merge::Sum);
+        f("stallCycles", &S::stallCycles, Merge::Sum);
+        f("pfSamePage", &S::pfSamePage, Merge::Sum);
+        f("pfCrossDropped", &S::pfCrossDropped, Merge::Sum);
+        f("pfCrossStalled", &S::pfCrossStalled, Merge::Sum);
+        f("pfCrossTranslated", &S::pfCrossTranslated, Merge::Sum);
+        f("pfTranslateDropped", &S::pfTranslateDropped, Merge::Sum);
+    }
+
+    void merge(const TlbStats &o) { mergeCounters(*this, o); }
 
     std::uint64_t lookups() const { return l1Hits + l1Misses; }
     /** Misses per `per` instructions (callers pass committed count). */
@@ -126,7 +222,18 @@ struct NocStats
     std::uint64_t bytes = 0;      ///< Payload + header bytes.
     std::uint64_t queueCycles = 0; ///< Total link queueing delay.
 
-    void merge(const NocStats &o);
+    template <typename F>
+    static void forEachCounter(F &&f)
+    {
+        using S = NocStats;
+        f("messages", &S::messages, Merge::Sum);
+        f("flits", &S::flits, Merge::Sum);
+        f("flitHops", &S::flitHops, Merge::Sum);
+        f("bytes", &S::bytes, Merge::Sum);
+        f("queueCycles", &S::queueCycles, Merge::Sum);
+    }
+
+    void merge(const NocStats &o) { mergeCounters(*this, o); }
 };
 
 /** DRAM counters. */
@@ -140,7 +247,20 @@ struct DramStats
     std::uint64_t rowMisses = 0;
     std::uint64_t queueCycles = 0;
 
-    void merge(const DramStats &o);
+    template <typename F>
+    static void forEachCounter(F &&f)
+    {
+        using S = DramStats;
+        f("reads", &S::reads, Merge::Sum);
+        f("writes", &S::writes, Merge::Sum);
+        f("bytesRead", &S::bytesRead, Merge::Sum);
+        f("bytesWritten", &S::bytesWritten, Merge::Sum);
+        f("rowHits", &S::rowHits, Merge::Sum);
+        f("rowMisses", &S::rowMisses, Merge::Sum);
+        f("queueCycles", &S::queueCycles, Merge::Sum);
+    }
+
+    void merge(const DramStats &o) { mergeCounters(*this, o); }
 
     std::uint64_t bytes() const { return bytesRead + bytesWritten; }
 };
@@ -164,9 +284,6 @@ struct SimStats
     /** Total L1 demand misses incl. prefetch-covered ones. */
     std::uint64_t l1MissOpportunities() const;
 };
-
-/** Formats a fixed-width numeric cell for bench tables. */
-std::string fmtCell(double v, int width = 8, int prec = 2);
 
 } // namespace impsim
 

@@ -5,7 +5,6 @@
 #include "server/client.hpp"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -73,11 +72,28 @@ openChannel(const std::string &address, std::ostream &err)
     return ch;
 }
 
+/** Parses number @p token of reply @p line; diagnoses a bad one. */
+bool
+replyNumber(const std::string &line, const std::string &token,
+            std::uint64_t &out, std::ostream &err)
+{
+    if (parseNumber(token, out))
+        return true;
+    err << "protocol error: bad number '" << token << "' in reply '"
+        << line << "'\n";
+    return false;
+}
+
 } // namespace
 
 int
 connectToServer(const std::string &address, std::string &error)
 {
+    sockaddr_in in{};
+    sockaddr_un un{};
+    int family = AF_UNIX;
+    const sockaddr *addr = reinterpret_cast<const sockaddr *>(&un);
+    socklen_t len = sizeof(un);
     if (address.rfind("tcp:", 0) == 0) {
         std::string hostport = address.substr(4);
         std::size_t colon = hostport.rfind(':');
@@ -89,39 +105,26 @@ connectToServer(const std::string &address, std::string &error)
         std::string host = hostport.substr(0, colon);
         if (host == "localhost")
             host = "127.0.0.1";
-        int port = std::atoi(hostport.substr(colon + 1).c_str());
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        if (port <= 0 || port > 65535 ||
-            ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+        std::uint64_t port = 0;
+        if (!parseNumber(hostport.substr(colon + 1), port, 65535) ||
+            port == 0 ||
+            ::inet_pton(AF_INET, host.c_str(), &in.sin_addr) != 1) {
             error = "bad tcp address '" + address + "'";
             return -1;
         }
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0 ||
-            ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) < 0) {
-            error = "cannot connect to " + address + ": " +
-                    std::strerror(errno);
-            if (fd >= 0)
-                ::close(fd);
-            return -1;
-        }
-        return fd;
-    }
-
-    if (address.size() >= sizeof(sockaddr_un{}.sun_path)) {
+        family = in.sin_family = AF_INET;
+        in.sin_port = htons(static_cast<std::uint16_t>(port));
+        addr = reinterpret_cast<const sockaddr *>(&in);
+        len = sizeof(in);
+    } else if (address.size() >= sizeof(un.sun_path)) {
         error = "socket path too long: " + address;
         return -1;
+    } else {
+        un.sun_family = AF_UNIX;
+        std::strncpy(un.sun_path, address.c_str(), sizeof(un.sun_path) - 1);
     }
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, address.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                            sizeof(addr)) < 0) {
+    int fd = ::socket(family, SOCK_STREAM, 0);
+    if (fd < 0 || ::connect(fd, addr, len) < 0) {
         error = "cannot connect to " + address + ": " +
                 std::strerror(errno);
         if (fd >= 0)
@@ -170,19 +173,20 @@ submitAndWait(const std::string &address, const std::string &configPath,
         if (tokens.empty())
             continue;
         const std::string &head = tokens[0];
+        std::uint64_t n = 0;
+        std::string payload;
         if (head == "QUEUED" && tokens.size() == 2) {
-            jobId = std::strtoull(tokens[1].c_str(), nullptr, 10);
+            if (!replyNumber(line, tokens[1], jobId, err))
+                return 1;
         } else if (head == "ERROR" && tokens.size() == 2) {
-            std::string payload;
-            std::size_t n = static_cast<std::size_t>(
-                std::strtoull(tokens[1].c_str(), nullptr, 10));
+            if (!replyNumber(line, tokens[1], n, err))
+                return 1;
             if (ch.reader->readBytes(payload, n))
                 err << payload;
             finished = true;
         } else if (head == "RESULT" && tokens.size() == 3) {
-            std::string payload;
-            std::size_t n = static_cast<std::size_t>(
-                std::strtoull(tokens[2].c_str(), nullptr, 10));
+            if (!replyNumber(line, tokens[2], n, err))
+                return 1;
             if (!ch.reader->readBytes(payload, n)) {
                 err << "connection lost mid-result\n";
                 finished = true;
@@ -220,10 +224,11 @@ fetchResult(const std::string &address, const std::string &jobId,
         std::vector<std::string> tokens = splitTokens(line);
         if (tokens.empty())
             continue;
+        std::uint64_t n = 0;
         std::string payload;
         if (tokens[0] == "RESULT" && tokens.size() == 3) {
-            std::size_t n = static_cast<std::size_t>(
-                std::strtoull(tokens[2].c_str(), nullptr, 10));
+            if (!replyNumber(line, tokens[2], n, err))
+                return 1;
             if (!ch.reader->readBytes(payload, n)) {
                 err << "connection lost mid-result\n";
                 return 1;
@@ -232,9 +237,8 @@ fetchResult(const std::string &address, const std::string &jobId,
             return 0; // don't wait for DONE: the payload is complete
         }
         if (tokens[0] == "ERROR" && tokens.size() == 2) {
-            std::size_t n = static_cast<std::size_t>(
-                std::strtoull(tokens[1].c_str(), nullptr, 10));
-            if (ch.reader->readBytes(payload, n))
+            if (replyNumber(line, tokens[1], n, err) &&
+                ch.reader->readBytes(payload, n))
                 err << payload;
             return 1;
         }
@@ -266,9 +270,10 @@ listJobs(const std::string &address, std::ostream &out, std::ostream &err)
         err << "unexpected reply: " << line << "\n";
         return 1;
     }
+    std::uint64_t n = 0;
+    if (!replyNumber(line, tokens[1], n, err))
+        return 1;
     std::string payload;
-    std::size_t n = static_cast<std::size_t>(
-        std::strtoull(tokens[1].c_str(), nullptr, 10));
     if (!ch.reader->readBytes(payload, n)) {
         err << "connection lost mid-list\n";
         return 1;
@@ -294,14 +299,14 @@ listJobs(const std::string &address, std::ostream &out, std::ostream &err)
     tokens = splitTokens(line);
     if (tokens.size() != 2 || tokens[0] != "FLEET") {
         if (tokens.size() == 2 && tokens[0] == "ERROR") {
-            std::size_t skip = static_cast<std::size_t>(
-                std::strtoull(tokens[1].c_str(), nullptr, 10));
-            ch.reader->readBytes(payload, skip);
+            if (!replyNumber(line, tokens[1], n, err))
+                return 1;
+            ch.reader->readBytes(payload, n);
         }
         return 0;
     }
-    n = static_cast<std::size_t>(
-        std::strtoull(tokens[1].c_str(), nullptr, 10));
+    if (!replyNumber(line, tokens[1], n, err))
+        return 1;
     if (!ch.reader->readBytes(payload, n)) {
         err << "connection lost mid-list\n";
         return 1;

@@ -5,17 +5,45 @@
 #include "sim/report.hpp"
 
 #include <ostream>
+#include <type_traits>
 
 namespace impsim {
 
 namespace {
 
-double
-pct(std::uint64_t num, std::uint64_t den)
+/**
+ * Writes one `name value` line, the value in a column of its own; a
+ * per-access-type array prints as `stream=N indirect=N other=N`.
+ */
+template <typename T>
+void
+writeLine(std::ostream &os, const std::string &name, const T &value)
 {
-    return den == 0 ? 0.0
-                    : 100.0 * static_cast<double>(num) /
-                          static_cast<double>(den);
+    constexpr std::size_t kNameWidth = 22;
+    const std::size_t pad =
+        name.size() < kNameWidth ? kNameWidth - name.size() : 1;
+    os << name << std::string(pad, ' ');
+    if constexpr (std::is_arithmetic_v<T>) {
+        os << value;
+    } else {
+        for (int t = 0; t < kNumAccessTypes; ++t) {
+            os << (t == 0 ? "" : " ")
+               << accessTypeName(static_cast<AccessType>(t)) << '='
+               << value[t];
+        }
+    }
+    os << '\n';
+}
+
+/** Writes a `-- title --` section with one line per counter row. */
+template <typename S>
+void
+writeSection(std::ostream &os, const char *title, const S &s)
+{
+    os << "-- " << title << " --\n";
+    S::forEachCounter([&](const char *name, auto member, Merge) {
+        writeLine(os, name, s.*member);
+    });
 }
 
 } // namespace
@@ -24,82 +52,23 @@ void
 writeReport(std::ostream &os, const std::string &label, const SimStats &s)
 {
     os << "==== " << label << " ====\n";
-    os << "cycles                " << s.cycles << "\n";
-    os << "instructions          " << s.core.instructions << "\n";
-    os << "aggregate IPC         " << s.ipc() << "\n";
-    os << "avg load latency      " << s.avgLoadLatency() << " cycles\n";
-
-    os << "-- L1 (all cores) --\n";
-    std::uint64_t lookups = s.l1.hits + s.l1.misses + s.l1.prefLate +
-                            s.l1.demandMerges;
-    os << "hits / misses         " << s.l1.hits << " / " << s.l1.misses
-       << "  (miss " << pct(s.l1.misses, lookups) << "%)\n";
-    os << "miss breakdown        ";
-    for (int t = 0; t < kNumAccessTypes; ++t) {
-        os << accessTypeName(static_cast<AccessType>(t)) << " "
-           << pct(s.l1.missesByType[t], s.l1.misses) << "%  ";
-    }
-    os << "\n";
-    os << "sector misses         " << s.l1.sectorMisses << "\n";
-    os << "evictions/writebacks  " << s.l1.evictions << " / "
-       << s.l1.writebacks << "\n";
-
-    os << "-- L1 prefetching --\n";
-    os << "issued                " << s.l1.prefIssued << " (indirect "
-       << s.l1.prefIssuedIndirect << ", stream "
-       << s.l1.prefIssuedStream << ", upgrades "
-       << s.l1.prefUpgrades << ")\n";
-    os << "coverage / accuracy   " << s.l1.coverage() << " / "
-       << s.l1.accuracy() << "\n";
-    os << "useful/late/unused    " << s.l1.prefUsefulFirstTouch << " / "
-       << s.l1.prefLate << " / " << s.l1.prefUnused << "\n";
-
-    os << "-- L2 --\n";
-    os << "hits / misses         " << s.l2.hits << " / " << s.l2.misses
-       << "\n";
-
-    os << "-- L2 prefetching --\n";
-    os << "issued                " << s.l2.prefIssued << " (indirect "
-       << s.l2.prefIssuedIndirect << ", stream "
-       << s.l2.prefIssuedStream << ")\n";
-    os << "coverage / accuracy   " << s.l2.coverage() << " / "
-       << s.l2.accuracy() << "\n";
-    os << "useful/late/unused    " << s.l2.prefUsefulFirstTouch << " / "
-       << s.l2.prefLate << " / " << s.l2.prefUnused << "\n";
-
-    os << "-- NoC --\n";
-    os << "messages / flit-hops  " << s.noc.messages << " / "
-       << s.noc.flitHops << "\n";
-    os << "bytes / queue cycles  " << s.noc.bytes << " / "
-       << s.noc.queueCycles << "\n";
-
-    os << "-- DRAM --\n";
-    os << "reads / writes        " << s.dram.reads << " / "
-       << s.dram.writes << "\n";
-    os << "bytes (rd+wr)         " << s.dram.bytes() << "\n";
-    os << "row hits / misses     " << s.dram.rowHits << " / "
-       << s.dram.rowMisses << "\n";
-    os << "queue cycles          " << s.dram.queueCycles << "\n";
-
+    writeLine(os, "cycles", s.cycles);
+    writeSection(os, "core", s.core);
+    writeLine(os, "ipc", s.ipc());
+    writeLine(os, "avgLoadLatency", s.avgLoadLatency());
+    writeSection(os, "l1", s.l1);
+    writeLine(os, "coverage", s.l1.coverage());
+    writeLine(os, "accuracy", s.l1.accuracy());
+    writeSection(os, "l2", s.l2);
+    writeLine(os, "coverage", s.l2.coverage());
+    writeLine(os, "accuracy", s.l2.accuracy());
+    writeSection(os, "noc", s.noc);
+    writeSection(os, "dram", s.dram);
     if (s.tlb.enabled) {
-        os << "-- TLB --\n";
-        os << "dtlb hits / misses    " << s.tlb.l1Hits << " / "
-           << s.tlb.l1Misses << "  (MPKI "
-           << s.tlb.l1Mpki(s.core.instructions) << ")\n";
-        os << "l2 tlb hits / misses  " << s.tlb.l2Hits << " / "
-           << s.tlb.l2Misses << "  (MPKI "
-           << s.tlb.l2Mpki(s.core.instructions) << ")\n";
-        os << "walks / joins         " << s.tlb.walks << " / "
-           << s.tlb.walkJoins << "\n";
-        os << "walk PTE reads        " << s.tlb.walkAccesses << "\n";
-        os << "avg walk latency      " << s.tlb.avgWalkCycles()
-           << " cycles\n";
-        os << "demand stall cycles   " << s.tlb.stallCycles << "\n";
-        os << "pf same-page          " << s.tlb.pfSamePage << "\n";
-        os << "pf cross drop/stall/translate "
-           << s.tlb.pfCrossDropped << " / " << s.tlb.pfCrossStalled
-           << " / " << s.tlb.pfCrossTranslated << " (translate-dropped "
-           << s.tlb.pfTranslateDropped << ")\n";
+        writeSection(os, "tlb", s.tlb);
+        writeLine(os, "l1Mpki", s.tlb.l1Mpki(s.core.instructions));
+        writeLine(os, "l2Mpki", s.tlb.l2Mpki(s.core.instructions));
+        writeLine(os, "avgWalkCycles", s.tlb.avgWalkCycles());
     }
 }
 

@@ -13,9 +13,9 @@
 namespace impsim {
 
 /**
- * Writes a multi-section plain-text report (cores, caches, NoC, DRAM,
- * prefetch effectiveness) to @p os.
- * @param label heading, e.g. "spmv / IMP / 64 cores"
+ * Writes the plain-text report to @p os: `cycles`, then per stats
+ * struct a section of its counters and ratios (docs/outputs.md).
+ * @param label heading, e.g. "spmv/IMP/64c"
  */
 void writeReport(std::ostream &os, const std::string &label,
                  const SimStats &s);

@@ -107,9 +107,8 @@ System::run(Tick limit)
     for (auto &core : cores_) {
         s.perCore.push_back(core->stats());
         s.core.merge(core->stats());
-        if (core->stats().finishTick > s.cycles)
-            s.cycles = core->stats().finishTick;
     }
+    s.cycles = s.core.finishTick;
     s.l1 = hier_->l1Stats();
     s.l2 = hier_->l2Stats();
     s.noc = hier_->noc().stats();

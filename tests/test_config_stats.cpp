@@ -5,6 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "common/config.hpp"
 #include "common/intmath.hpp"
 #include "common/rng.hpp"
@@ -156,6 +161,115 @@ TEST(Stats, EmptyMetricsAreZero)
     EXPECT_DOUBLE_EQ(s.accuracy(), 0.0);
 }
 
+/** The address of each row's field in @p s, in list order. */
+template <typename S>
+std::vector<const void *>
+rowFields(const S &s)
+{
+    std::vector<const void *> out;
+    S::forEachCounter([&](const char *, auto member, Merge) {
+        out.push_back(&(s.*member));
+    });
+    return out;
+}
+
+template <typename... T>
+std::vector<const void *>
+addressesOf(const T &...fields)
+{
+    return {&fields...};
+}
+
+// A structured binding must name every member, so adding or removing
+// a field stops this test from compiling until its binding is updated,
+// and then fails until the struct's counter list has a row for it.
+TEST(Stats, EveryFieldHasOneRowInFieldOrder)
+{
+    CoreStats core;
+    const auto &[c0, c1, c2, c3, c4, c5, c6, c7, c8] = core;
+    EXPECT_EQ(rowFields(core),
+              addressesOf(c0, c1, c2, c3, c4, c5, c6, c7, c8));
+
+    CacheStats cache;
+    const auto &[a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+                 a13, a14, a15] = cache;
+    EXPECT_EQ(rowFields(cache),
+              addressesOf(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11,
+                          a12, a13, a14, a15));
+
+    TlbStats tlb;
+    const auto &[t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12,
+                 t13, t14] = tlb;
+    EXPECT_EQ(rowFields(tlb),
+              addressesOf(t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11,
+                          t12, t13, t14));
+
+    NocStats noc;
+    const auto &[n0, n1, n2, n3, n4] = noc;
+    EXPECT_EQ(rowFields(noc), addressesOf(n0, n1, n2, n3, n4));
+
+    DramStats dram;
+    const auto &[d0, d1, d2, d3, d4, d5, d6] = dram;
+    EXPECT_EQ(rowFields(dram), addressesOf(d0, d1, d2, d3, d4, d5, d6));
+}
+
+/** Gives each counter of @p s a value from @p base and its position. */
+template <typename S>
+void
+fillCounters(S &s, std::uint64_t base, bool flag)
+{
+    std::uint64_t row = 0;
+    S::forEachCounter([&](const char *, auto member, Merge) {
+        auto &field = s.*member;
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+            field = flag;
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            field = base + row;
+        } else {
+            for (std::size_t i = 0; i < field.size(); ++i)
+                field[i] = base + row + 1000 * i;
+        }
+        ++row;
+    });
+}
+
+/**
+ * Merges two filled @p S both ways round and checks every row against
+ * its rule; @return the names of the Max rows.
+ */
+template <typename S>
+std::set<std::string>
+expectMergeFollowsRows()
+{
+    S small, big;
+    fillCounters(small, 10, false);
+    fillCounters(big, 500, true);
+    S smallFirst = small, bigFirst = big;
+    smallFirst.merge(big);
+    bigFirst.merge(small);
+    std::set<std::string> maxRows;
+    S::forEachCounter([&](const char *name, auto member, Merge rule) {
+        const auto &lo = small.*member;
+        const auto &hi = big.*member;
+        auto want = lo;
+        using T = std::decay_t<decltype(lo)>;
+        if constexpr (std::is_same_v<T, bool>) {
+            want = true;
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            want = rule == Merge::Sum ? lo + hi : hi;
+        } else {
+            for (std::size_t i = 0; i < want.size(); ++i)
+                want[i] = rule == Merge::Sum ? lo[i] + hi[i] : hi[i];
+        }
+        EXPECT_EQ(smallFirst.*member, want) << name;
+        EXPECT_EQ(bigFirst.*member, want) << name;
+        if (rule == Merge::Max)
+            maxRows.insert(name);
+    });
+    return maxRows;
+}
+
 TEST(Stats, MergeAccumulates)
 {
     CoreStats a, b;
@@ -169,6 +283,15 @@ TEST(Stats, MergeAccumulates)
     EXPECT_EQ(a.instructions, 30u);
     EXPECT_EQ(a.finishTick, 100u); // Max, not sum.
     EXPECT_EQ(a.stallCycles[0], 12u);
+
+    // Every row of all five structs: sum rows add (arrays
+    // element by element), max rows keep the larger value.
+    using Names = std::set<std::string>;
+    EXPECT_EQ(expectMergeFollowsRows<CoreStats>(), Names{"finishTick"});
+    EXPECT_EQ(expectMergeFollowsRows<CacheStats>(), Names{});
+    EXPECT_EQ(expectMergeFollowsRows<TlbStats>(), Names{"enabled"});
+    EXPECT_EQ(expectMergeFollowsRows<NocStats>(), Names{});
+    EXPECT_EQ(expectMergeFollowsRows<DramStats>(), Names{});
 }
 
 TEST(Stats, SimStatsDerived)

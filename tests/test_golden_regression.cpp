@@ -2,9 +2,9 @@
  * @file
  * Golden-report regression tests: per-preset CSVs and the single-run
  * text report from a fixed-seed smoke configuration, checked in under
- * tests/golden/, must match the current simulator bit-for-bit. A perf-motivated refactor that
- * changes simulated results now fails here instead of slipping
- * through silently.
+ * tests/golden/, must match the current simulator bit-for-bit. A
+ * perf-motivated refactor that changes simulated results now fails
+ * here instead of slipping through silently.
  *
  * Regenerating after an *intentional* behavior change (one command):
  *

@@ -11,15 +11,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/config_file.hpp"
@@ -589,6 +592,101 @@ TEST(JobServer, TcpListenerServesTheSameProtocol)
         << err.str();
     srv.stop();
     EXPECT_EQ(out.str(), inProcessOutput(smokeConfigPath()));
+}
+
+TEST(JobClient, MalformedTcpPortIsABadAddressNotAConnectAttempt)
+{
+    // Nothing listens on these ports: a port that parsed loosely would
+    // fail with "cannot connect", not with the address diagnostic.
+    for (const char *port : {"7000junk", " +7000", "+7000", "-1", "0",
+                             "65536", "", "99999999999999999999"}) {
+        const std::string address = std::string("tcp:127.0.0.1:") + port;
+        std::string error;
+        EXPECT_EQ(server::connectToServer(address, error), -1) << address;
+        EXPECT_EQ(error, "bad tcp address '" + address + "'");
+    }
+}
+
+/**
+ * A one-connection fake job server on a Unix socket: it greets, sends
+ * @p reply, closes its sending side and reads until the client hangs
+ * up, so a client that misses the bad reply sees EOF, not a hang.
+ */
+class FakeServer
+{
+  public:
+    explicit FakeServer(const std::string &reply)
+        : path_(tempSocketPath("fake"))
+    {
+        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path_.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        EXPECT_EQ(::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listenFd_, 1), 0);
+        thread_ = std::thread([this, reply] {
+            int fd = ::accept(listenFd_, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            server::writeAll(fd, "IMPSIM 5\n" + reply);
+            ::shutdown(fd, SHUT_WR);
+            char buf[4096];
+            while (::read(fd, buf, sizeof(buf)) > 0) {
+            }
+            ::close(fd);
+        });
+    }
+
+    ~FakeServer()
+    {
+        ::shutdown(listenFd_, SHUT_RDWR); // unblocks an unused accept
+        thread_.join();
+        ::close(listenFd_);
+        ::unlink(path_.c_str());
+    }
+
+    FakeServer(const FakeServer &) = delete;
+    FakeServer &operator=(const FakeServer &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+    int listenFd_ = -1;
+    std::thread thread_;
+};
+
+TEST(JobClient, MalformedReplyNumberIsAProtocolError)
+{
+    using Call = int (*)(const std::string &, std::ostream &,
+                         std::ostream &);
+    const Call submit = [](const std::string &address, std::ostream &out,
+                           std::ostream &err) {
+        return server::submitAndWait(address, smokeConfigPath(),
+                                     SubmitRequest{}, out, err);
+    };
+    const Call fetch = [](const std::string &address, std::ostream &out,
+                          std::ostream &err) {
+        return server::fetchResult(address, "1", out, err);
+    };
+    const Call list = &server::listJobs;
+    const std::vector<std::pair<Call, std::string>> cases = {
+        {submit, "QUEUED 1x\n"},    {submit, "ERROR x\n"},
+        {submit, "RESULT 1 x\n"},   {submit, "RESULT 1 +5\n"},
+        {fetch, "RESULT 1 x\n"},    {fetch, "ERROR -1\n"},
+        {list, "JOBS x\n"},         {list, "JOBS 0\nFLEET 12junk\n"},
+    };
+    for (const auto &[call, reply] : cases) {
+        FakeServer fake(reply);
+        std::ostringstream out, err;
+        EXPECT_EQ(call(fake.path(), out, err), 1) << reply;
+        EXPECT_NE(err.str().find("protocol error: bad number"),
+                  std::string::npos)
+            << reply << err.str();
+    }
 }
 
 TEST(JobServer, ConcurrentClientsTimesJobsStressBitIdentical)

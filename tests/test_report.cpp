@@ -4,7 +4,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/report.hpp"
 
@@ -33,31 +38,83 @@ sampleStats()
     return s;
 }
 
-TEST(Report, TextContainsKeySections)
+/** The first word of each line of section @p title in @p report. */
+std::vector<std::string>
+sectionNames(const std::string &report, const std::string &title)
 {
-    std::ostringstream os;
-    writeReport(os, "unit/test", sampleStats());
-    std::string t = os.str();
-    EXPECT_NE(t.find("unit/test"), std::string::npos);
-    EXPECT_NE(t.find("cycles"), std::string::npos);
-    EXPECT_NE(t.find("prefetching"), std::string::npos);
-    EXPECT_NE(t.find("DRAM"), std::string::npos);
-    EXPECT_NE(t.find("1000"), std::string::npos);
-    EXPECT_NE(t.find("2500"), std::string::npos);
+    std::vector<std::string> names;
+    std::istringstream lines(report);
+    std::string line;
+    bool inside = false;
+    while (std::getline(lines, line)) {
+        if (line.rfind("-- ", 0) == 0)
+            inside = line == "-- " + title + " --";
+        else if (inside)
+            names.push_back(line.substr(0, line.find(' ')));
+    }
+    return names;
+}
+
+template <typename S>
+std::vector<std::string>
+rowNames()
+{
+    std::vector<std::string> names;
+    S::forEachCounter(
+        [&](const char *name, auto, Merge) { names.push_back(name); });
+    return names;
+}
+
+/** Checks that section @p title lists each row of @p S exactly once. */
+template <typename S>
+void
+expectRowsOnce(const std::string &report, const std::string &title)
+{
+    std::vector<std::string> names = sectionNames(report, title);
+    for (const std::string &row : rowNames<S>())
+        EXPECT_EQ(std::count(names.begin(), names.end(), row), 1)
+            << "-- " << title << " -- row " << row;
+}
+
+TEST(Report, EveryCounterRowAppearsOnceInItsSection)
+{
+    SimStats s = sampleStats();
+    for (bool tlb : {false, true}) {
+        s.tlb.enabled = tlb;
+        std::ostringstream os;
+        writeReport(os, "unit/test", s);
+        const std::string t = os.str();
+        EXPECT_EQ(t.rfind("==== unit/test ====\ncycles                1000\n"
+                          "-- core --\ninstructions          2500\n",
+                          0),
+                  0u)
+            << t;
+        expectRowsOnce<CoreStats>(t, "core");
+        expectRowsOnce<CacheStats>(t, "l1");
+        expectRowsOnce<CacheStats>(t, "l2");
+        expectRowsOnce<NocStats>(t, "noc");
+        expectRowsOnce<DramStats>(t, "dram");
+        if (tlb)
+            expectRowsOnce<TlbStats>(t, "tlb");
+        else
+            EXPECT_EQ(t.find("-- tlb --"), std::string::npos) << t;
+    }
 }
 
 TEST(Report, CsvRowMatchesHeaderArity)
 {
-    std::ostringstream h, r;
-    writeCsvHeader(h);
-    writeCsvRow(r, "a/b", sampleStats());
     auto count = [](const std::string &s) {
         std::size_t n = 1;
         for (char c : s)
             n += c == ',' ? 1 : 0;
         return n;
     };
-    EXPECT_EQ(count(h.str()), count(r.str()));
+    for (bool with_tlb : {false, true}) {
+        std::ostringstream h, r;
+        writeCsvHeader(h, with_tlb);
+        writeCsvRow(r, "a/b", sampleStats(), with_tlb);
+        EXPECT_EQ(count(h.str()), count(r.str())) << with_tlb;
+    }
 }
 
 TEST(Report, CsvEscapesNothingButIsStable)
@@ -68,6 +125,60 @@ TEST(Report, CsvEscapesNothingButIsStable)
     EXPECT_EQ(r1.str(), r2.str());
     EXPECT_EQ(r1.str().front(), 'x');
     EXPECT_EQ(r1.str().back(), '\n');
+}
+
+/** The backquoted spans of @p line, in order. */
+std::vector<std::string>
+codeSpans(const std::string &line)
+{
+    std::vector<std::string> spans;
+    std::size_t open = line.find('`');
+    while (open != std::string::npos) {
+        std::size_t close = line.find('`', open + 1);
+        if (close == std::string::npos)
+            break;
+        spans.push_back(line.substr(open + 1, close - open - 1));
+        open = line.find('`', close + 1);
+    }
+    return spans;
+}
+
+TEST(ReportDocs, OutputReferenceListsEveryColumnAndRow)
+{
+    std::ifstream in(std::string(IMPSIM_SOURCE_DIR) + "/docs/outputs.md");
+    ASSERT_TRUE(in);
+    // Each table's first-column names, under every backquoted name of
+    // the heading above it ("csv" for the CSV column table).
+    std::map<std::string, std::vector<std::string>> tables;
+    std::vector<std::string> heading;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind('#', 0) == 0) {
+            heading = line == "## CSV columns"
+                          ? std::vector<std::string>{"csv"}
+                          : codeSpans(line);
+        } else if (line.rfind("| `", 0) == 0) {
+            for (const std::string &h : heading)
+                tables[h].push_back(codeSpans(line).at(0));
+        }
+    }
+
+    std::ostringstream header;
+    writeCsvHeader(header, true);
+    std::string text = header.str();
+    text.pop_back(); // the newline
+    std::vector<std::string> columns;
+    std::istringstream cells(text);
+    for (std::string cell; std::getline(cells, cell, ',');)
+        columns.push_back(cell);
+    EXPECT_EQ(tables["csv"], columns);
+
+    EXPECT_EQ(tables["core"], rowNames<CoreStats>());
+    EXPECT_EQ(tables["l1"], rowNames<CacheStats>());
+    EXPECT_EQ(tables["l2"], rowNames<CacheStats>());
+    EXPECT_EQ(tables["noc"], rowNames<NocStats>());
+    EXPECT_EQ(tables["dram"], rowNames<DramStats>());
+    EXPECT_EQ(tables["tlb"], rowNames<TlbStats>());
 }
 
 } // namespace

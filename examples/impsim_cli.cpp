@@ -60,7 +60,7 @@
  * [sweep] for lists). --check parses, binds and expands the file,
  * prints the run count and exits without simulating.
  *
- * --prefetcher overrides the L1 engine with a registry spec:
+ * --prefetcher overrides the L1 engine with a prefetcher spec:
  *   stack := name ('+' name)*       e.g. "imp", "stream+ghb"
  * A comma-separated list assigns stacks to cores round-robin
  * (heterogeneous machines): "imp,stream" alternates IMP and stream

@@ -41,7 +41,8 @@
  * --worker-of ADDR     do not listen; connect to the coordinator at
  *                      ADDR (socket path or tcp:HOST:PORT), register,
  *                      and serve leased sub-batches until it hangs up
- * --slots S            concurrent leases to ask for (default 1)
+ * --slots S            leases the coordinator may hand this worker at
+ *                      once (default 1); they still run one at a time
  *
  * Clients speak the line protocol in docs/job_server.md; the
  * matching client is `impsim_cli --submit FILE --server PATH`, whose

@@ -193,7 +193,7 @@ struct SystemConfig
 
     // --- Prefetching -------------------------------------------------
     /**
-     * Registry spec for the L1-attached engine on every core ("imp",
+     * Prefetcher spec for the L1-attached engine on every core ("imp",
      * "stream+ghb", "none", ...). Blank segments are ignored; a
      * whole-blank spec means no engine, like "none".
      */
@@ -205,7 +205,7 @@ struct SystemConfig
      */
     std::vector<std::string> corePrefetcherSpecs;
     /**
-     * Registry spec for the L2-attached engine on every tile. The
+     * Prefetcher spec for the L2-attached engine on every tile. The
      * default "none" leaves the L2 unprefetched (the paper's setup).
      */
     std::string l2PrefetcherSpec = "none";
@@ -225,9 +225,6 @@ struct SystemConfig
     GhbConfig ghb;
     PartialMode partial = PartialMode::Off;
     GpConfig gp;
-    /** Oracle lead, in trace accesses (the "perfect" engine). */
-    std::uint32_t perfectLookahead = 192;
-    std::uint32_t perfectMaxInflight = 32;
 
     // --- Address translation ------------------------------------------
     /** TLB + page-walk model; tlb.enable=false (default) is free. */
@@ -258,13 +255,13 @@ struct SystemConfig
     std::uint32_t l2Sectors() const { return kLineSize / gp.l2SectorBytes; }
 
     /**
-     * L1 registry spec for core @p c: per-core override, else the
+     * L1 prefetcher spec for core @p c: per-core override, else the
      * global spec string.
      */
     std::string effectivePrefetcherSpec(CoreId c) const;
 
     /**
-     * L2 registry spec for tile @p t: per-tile override, else the
+     * L2 prefetcher spec for tile @p t: per-tile override, else the
      * global L2 spec string.
      */
     std::string effectiveL2PrefetcherSpec(CoreId t) const;

@@ -727,17 +727,17 @@ setShifts(Bound &b, const Setting &s)
     }
 }
 
-/** Checks every engine name of a registry spec ("imp+stream"). */
+/** Checks every engine name of a prefetcher spec ("imp+stream"). */
 void
 checkSpec(const Setting &s, const std::string &spec)
 {
+    const std::vector<std::string> known = prefetcherNames();
     for (const std::string &name : splitPrefetcherSpec(spec)) {
         if (name.empty())
-            continue; // blank segments are ignored by the registry
-        if (!PrefetcherRegistry::instance().known(name))
+            continue; // blank segments build no engine
+        if (std::find(known.begin(), known.end(), name) == known.end())
             failAt(s, "unknown prefetcher '" + name + "' in spec '" + spec +
-                          "' (known: " +
-                          join(PrefetcherRegistry::instance().names()) + ")");
+                          "' (known: " + join(known) + ")");
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fan-out prefetcher: forwards every hook to an ordered list of
- * children. This is how `+`-composed registry specs ("stream+ghb")
- * stack independent engines behind one L1 attachment point.
+ * children. This is how makePrefetcher() stacks the engines of a
+ * `+`-composed spec ("stream+ghb") behind one attachment point.
  */
 #ifndef IMPSIM_CORE_COMPOSITE_PREFETCHER_HPP
 #define IMPSIM_CORE_COMPOSITE_PREFETCHER_HPP

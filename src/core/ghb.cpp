@@ -4,18 +4,7 @@
  */
 #include "core/ghb.hpp"
 
-#include "core/prefetcher_registry.hpp"
-
 namespace impsim {
-
-IMPSIM_REGISTER_PREFETCHER(ghb, "ghb",
-                           [](PrefetchHost &host,
-                              const PrefetcherContext &ctx)
-                               -> std::unique_ptr<Prefetcher> {
-                               return std::make_unique<GhbPrefetcher>(
-                                   host, ctx.cfg.ghb,
-                                   ctx.cfg.tlb.ghbCross);
-                           });
 
 GhbPrefetcher::GhbPrefetcher(PrefetchHost &host, const GhbConfig &cfg,
                              TlbPfCross cross)

@@ -7,25 +7,9 @@
 #include <algorithm>
 
 #include "core/addr_gen.hpp"
-#include "core/prefetcher_registry.hpp"
 #include "core/stream_prefetcher.hpp"
 
 namespace impsim {
-
-IMPSIM_REGISTER_PREFETCHER(imp, "imp",
-                           [](PrefetchHost &host,
-                              const PrefetcherContext &ctx)
-                               -> std::unique_ptr<Prefetcher> {
-                               bool at_l2 =
-                                   ctx.level == AttachLevel::L2;
-                               return std::make_unique<ImpPrefetcher>(
-                                   host, ctx.cfg.imp,
-                                   at_l2 ? ctx.cfg.l2Stream
-                                         : ctx.cfg.stream,
-                                   ctx.cfg.gp,
-                                   ctx.cfg.partial != PartialMode::Off,
-                                   at_l2, ctx.cfg.tlb.impCross);
-                           });
 
 ImpPrefetcher::ImpPrefetcher(PrefetchHost &host, const ImpConfig &cfg,
                              const StreamConfig &stream_cfg,

@@ -1,17 +1,6 @@
 /**
  * @file
- * Registry implementation and the trivial "none" engine.
- *
- * The built-in engines self-register from their own translation units
- * (IMPSIM_REGISTER_PREFETCHER in imp.cpp, stream_prefetcher.cpp,
- * ghb.cpp, perfect_prefetcher.cpp). Static archives only pull in
- * objects that resolve a symbol, so instance() touches one anchor per
- * built-in: that forces the engines' objects into any link that uses
- * the registry, and their registrars then run during the program's
- * static initialization. Registration order across translation units
- * is unspecified, so do not look names up from another TU's static
- * initializer — by main() (and thus in any simulation or worker
- * thread) the table is complete and read-only.
+ * The prefetcher factory: one branch per built-in engine.
  */
 #include "core/prefetcher_registry.hpp"
 
@@ -20,85 +9,55 @@
 
 #include "common/logging.hpp"
 #include "core/composite_prefetcher.hpp"
+#include "core/ghb.hpp"
+#include "core/imp.hpp"
+#include "core/stream_prefetcher.hpp"
 
 namespace impsim {
 
-// Anchors defined by IMPSIM_REGISTER_PREFETCHER in each engine's .cpp.
-void impsimPrefetcherAnchor_stream();
-void impsimPrefetcherAnchor_imp();
-void impsimPrefetcherAnchor_ghb();
-void impsimPrefetcherAnchor_perfect();
-
-IMPSIM_REGISTER_PREFETCHER(none, "none",
-                           [](PrefetchHost &, const PrefetcherContext &)
-                               -> std::unique_ptr<Prefetcher> {
-                               return nullptr;
-                           });
-
-PrefetcherRegistry &
-PrefetcherRegistry::instance()
-{
-    static PrefetcherRegistry reg;
-    static const bool builtins_linked = [] {
-        impsimPrefetcherAnchor_stream();
-        impsimPrefetcherAnchor_imp();
-        impsimPrefetcherAnchor_ghb();
-        impsimPrefetcherAnchor_perfect();
-        return true;
-    }();
-    (void)builtins_linked;
-    return reg;
-}
-
-bool
-PrefetcherRegistry::add(const std::string &name, PrefetcherFactory factory)
-{
-    IMPSIM_CHECK(!name.empty() && name.find('+') == std::string::npos,
-                 "prefetcher name must be non-empty and free of '+'");
-    return factories_.emplace(name, std::move(factory)).second;
-}
-
-bool
-PrefetcherRegistry::known(const std::string &name) const
-{
-    return factories_.count(name) != 0;
-}
-
-std::vector<std::string>
-PrefetcherRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &kv : factories_)
-        out.push_back(kv.first);
-    return out;
-}
-
 std::unique_ptr<Prefetcher>
-PrefetcherRegistry::make(const std::string &spec, PrefetchHost &host,
-                         const PrefetcherContext &ctx) const
+makePrefetcher(const std::string &spec, PrefetchHost &host,
+               const SystemConfig &cfg, AttachLevel level)
 {
+    // An L2 instance trains on the L1 miss stream, so it takes the
+    // line-granular stream knobs.
+    const bool at_l2 = level == AttachLevel::L2;
+    const StreamConfig &stream = at_l2 ? cfg.l2Stream : cfg.stream;
+
     std::vector<std::unique_ptr<Prefetcher>> stack;
     for (const std::string &name : splitPrefetcherSpec(spec)) {
-        if (name.empty())
-            continue; // Blank segment ("stream+", "", " + "): no engine.
-        auto it = factories_.find(name);
-        if (it == factories_.end()) {
+        if (name.empty() || name == "none")
+            continue; // A blank segment ("stream+", " + ") or "none".
+        if (name == "stream") {
+            stack.push_back(std::make_unique<StreamPrefetcher>(
+                host, cfg.imp, stream, cfg.tlb.streamCross));
+        } else if (name == "imp") {
+            stack.push_back(std::make_unique<ImpPrefetcher>(
+                host, cfg.imp, stream, cfg.gp,
+                cfg.partial != PartialMode::Off, at_l2, cfg.tlb.impCross));
+        } else if (name == "ghb") {
+            stack.push_back(std::make_unique<GhbPrefetcher>(
+                host, cfg.ghb, cfg.tlb.ghbCross));
+        } else {
             std::ostringstream msg;
-            msg << "unknown prefetcher '" << name << "' in spec '"
-                << spec << "'; known prefetchers:";
-            for (const auto &kv : factories_)
-                msg << " " << kv.first;
+            msg << "unknown prefetcher '" << name << "' in spec '" << spec
+                << "'; known prefetchers:";
+            for (const std::string &known : prefetcherNames())
+                msg << " " << known;
             IMPSIM_FATAL(msg.str().c_str());
         }
-        if (auto pf = it->second(host, ctx))
-            stack.push_back(std::move(pf));
     }
     if (stack.empty())
         return nullptr;
     if (stack.size() == 1)
         return std::move(stack.front());
     return std::make_unique<CompositePrefetcher>(std::move(stack));
+}
+
+std::vector<std::string>
+prefetcherNames()
+{
+    return {"ghb", "imp", "none", "stream"};
 }
 
 std::vector<std::string>

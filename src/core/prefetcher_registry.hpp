@@ -1,16 +1,14 @@
 /**
  * @file
- * String-keyed prefetcher factory registry.
+ * The prefetcher factory: builds the engine stack a spec names.
  *
- * Every prefetcher engine registers itself under a short name
- * ("stream", "imp", "ghb", "perfect", "none"); a spec string names one
- * engine or stacks several with `+` ("stream+ghb"), which the registry
- * composes behind a single CompositePrefetcher. Factories receive only
- * the abstract PrefetchHost plus a PrefetcherContext, so any engine
- * can be built against a fake host in tests or attached at any cache
- * level — nothing here depends on the concrete L1 controller.
+ * A spec string names one engine ("stream", "imp", "ghb", "none") or
+ * stacks several with `+` ("stream+ghb"), which makePrefetcher()
+ * composes behind a single CompositePrefetcher. Engines are built
+ * against the abstract PrefetchHost, so any of them can be built
+ * against a fake host in tests or attached at either cache level.
  *
- * Spec grammar (also in README.md):
+ * Spec grammar (also in docs/prefetcher_specs.md):
  *   stack := name ('+' name)*
  * Blank segments are ignored ("stream+" builds a bare stream engine;
  * a whole-blank spec builds nothing, like "none"). Unknown names fail
@@ -19,8 +17,6 @@
 #ifndef IMPSIM_CORE_PREFETCHER_REGISTRY_HPP
 #define IMPSIM_CORE_PREFETCHER_REGISTRY_HPP
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,83 +26,27 @@
 
 namespace impsim {
 
-struct CoreTrace;
+/**
+ * Builds the prefetcher stack for @p spec ("imp", "stream+ghb", ...)
+ * attached at @p level, with the engines' knobs taken from @p cfg.
+ * Blank segments and "none" build no engine; an empty resulting stack
+ * yields nullptr, a single engine is returned bare, several are
+ * wrapped in a CompositePrefetcher in spec order. Unknown names are
+ * fatal, with the known names listed.
+ */
+std::unique_ptr<Prefetcher> makePrefetcher(const std::string &spec,
+                                           PrefetchHost &host,
+                                           const SystemConfig &cfg,
+                                           AttachLevel level);
 
-/** Everything a factory may need besides the host itself. */
-struct PrefetcherContext
-{
-    /** Full machine configuration (engines pick out their knobs). */
-    const SystemConfig &cfg;
-    /** Which core (or tile, for L2 attachment) this instance serves. */
-    CoreId core = 0;
-    /** That core's trace — the "perfect" oracle needs it; may be null. */
-    const CoreTrace *trace = nullptr;
-    /** Cache level the instance is attached to. */
-    AttachLevel level = AttachLevel::L1;
-};
-
-/** Builds one engine instance. May return nullptr ("none"). */
-using PrefetcherFactory = std::function<std::unique_ptr<Prefetcher>(
-    PrefetchHost &, const PrefetcherContext &)>;
-
-/** Process-wide name -> factory table. */
-class PrefetcherRegistry
-{
-  public:
-    static PrefetcherRegistry &instance();
-
-    /**
-     * Registers a factory. First registration of a name wins;
-     * @return false (and changes nothing) if the name is taken.
-     */
-    bool add(const std::string &name, PrefetcherFactory factory);
-
-    /**
-     * Builds the prefetcher stack for @p spec ("imp", "stream+ghb",
-     * ...). Blank segments are skipped and engines producing nullptr
-     * ("none") are dropped; an empty resulting stack yields nullptr, a
-     * single engine is returned bare, several are wrapped in a
-     * CompositePrefetcher in spec order. Unknown names are fatal, with
-     * the known names listed.
-     */
-    std::unique_ptr<Prefetcher> make(const std::string &spec,
-                                     PrefetchHost &host,
-                                     const PrefetcherContext &ctx) const;
-
-    /** True if @p name (a single engine, not a spec) is registered. */
-    bool known(const std::string &name) const;
-
-    /** All registered engine names, sorted. */
-    std::vector<std::string> names() const;
-
-  private:
-    PrefetcherRegistry() = default;
-
-    std::map<std::string, PrefetcherFactory> factories_;
-};
+/** Every engine name makePrefetcher() builds, sorted. */
+std::vector<std::string> prefetcherNames();
 
 /**
  * Splits "a+b+c" into {"a","b","c"}, trimming surrounding whitespace
  * per component. Performs no name validation.
  */
 std::vector<std::string> splitPrefetcherSpec(const std::string &spec);
-
-/**
- * Self-registration hook: expands to an anchor function (so the
- * defining object is pulled out of static archives) plus a static
- * registrar that adds the factory before main(). Use at namespace
- * scope inside `namespace impsim`:
- *
- *   IMPSIM_REGISTER_PREFETCHER(stream, "stream",
- *       [](PrefetchHost &h, const PrefetcherContext &c) { ... });
- */
-#define IMPSIM_REGISTER_PREFETCHER(token, key, ...)                         \
-    void impsimPrefetcherAnchor_##token() {}                                \
-    namespace {                                                             \
-    const bool impsim_registered_##token =                                  \
-        ::impsim::PrefetcherRegistry::instance().add(key, __VA_ARGS__);     \
-    }                                                                       \
-    static_assert(true, "require trailing semicolon")
 
 } // namespace impsim
 

@@ -4,21 +4,7 @@
  */
 #include "core/stream_prefetcher.hpp"
 
-#include "core/prefetcher_registry.hpp"
-
 namespace impsim {
-
-IMPSIM_REGISTER_PREFETCHER(stream, "stream",
-                           [](PrefetchHost &host,
-                              const PrefetcherContext &ctx)
-                               -> std::unique_ptr<Prefetcher> {
-                               return std::make_unique<StreamPrefetcher>(
-                                   host, ctx.cfg.imp,
-                                   ctx.level == AttachLevel::L2
-                                       ? ctx.cfg.l2Stream
-                                       : ctx.cfg.stream,
-                                   ctx.cfg.tlb.streamCross);
-                           });
 
 void
 issueStreamPrefetches(PrefetchHost &host, PtEntry &e, std::int16_t entry_id,

@@ -176,7 +176,6 @@ class Mmu
 
     TlbStats &stats() { return stats_; }
     const TlbStats &stats() const { return stats_; }
-    const PageTable &pageTable() const { return pt_; }
 
   private:
     struct Waiter
@@ -202,7 +201,6 @@ class Mmu
     /** Shared L2-TLB + walk path (demand and stalled prefetches). */
     void missAccess(CoreId c, Addr vaddr, bool demand, TlbDoneFn done);
 
-    void startWalk(CoreId c, std::uint64_t vpn, Tick when);
     void issueNextPte(std::uint64_t vpn, Tick when);
     void finishWalk(std::uint64_t vpn, Tick when);
 

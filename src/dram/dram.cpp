@@ -51,14 +51,6 @@ SimpleDram::access(std::uint32_t mc, Addr, std::uint32_t bytes, bool write,
     return g.start + latency_ + xfer;
 }
 
-void
-SimpleDram::reset()
-{
-    for (auto &ch : channels_)
-        ch.reset();
-    stats_ = DramStats{};
-}
-
 // --------------------------------------------------------------------
 // Ddr3Dram
 // --------------------------------------------------------------------
@@ -117,15 +109,6 @@ Ddr3Dram::access(std::uint32_t mc, Addr addr, std::uint32_t bytes,
     stats_.reads += 1;
     stats_.bytesRead += bytes;
     return start + tCtrl_ + access_lat + xfer;
-}
-
-void
-Ddr3Dram::reset()
-{
-    for (auto &ch : channels_)
-        ch.reset();
-    banks_.assign(banks_.size(), Bank{});
-    stats_ = DramStats{};
 }
 
 // --------------------------------------------------------------------

@@ -48,9 +48,6 @@ class DramModel
     DramStats &stats() { return stats_; }
     const DramStats &stats() const { return stats_; }
 
-    /** Drops all timing state and statistics. */
-    virtual void reset() = 0;
-
   protected:
     DramStats stats_;
 };
@@ -64,7 +61,6 @@ class SimpleDram : public DramModel
 
     Tick access(std::uint32_t mc, Addr addr, std::uint32_t bytes,
                 bool write, Tick when) override;
-    void reset() override;
 
   private:
     std::uint32_t latency_;
@@ -81,7 +77,6 @@ class Ddr3Dram : public DramModel
 
     Tick access(std::uint32_t mc, Addr addr, std::uint32_t bytes,
                 bool write, Tick when) override;
-    void reset() override;
 
   private:
     struct Bank

@@ -51,7 +51,6 @@ class MeshNoc
             std::uint32_t flit_bytes, std::uint32_t header_flits);
 
     std::uint32_t dim() const { return dim_; }
-    std::uint32_t numTiles() const { return dim_ * dim_; }
 
     /** Coordinate of @p tile. */
     MeshCoord coordOf(CoreId tile) const;

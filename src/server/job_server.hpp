@@ -246,7 +246,7 @@ class JobServer
     struct RemoteWorker
     {
         std::shared_ptr<Connection> conn;
-        /** Concurrent leases it asked for (the WORKER slots= token). */
+        /** Leases it may hold at once (the WORKER slots= token). */
         unsigned slots = 1;
         /** Lease ids currently assigned here. */
         std::set<std::uint64_t> leases;

@@ -184,7 +184,7 @@ std::string formatLeaseLine(const LeaseRequest &req);
 struct FleetEntry
 {
     std::uint64_t workerId = 0;
-    unsigned slots = 1;         ///< Parallel lease capacity.
+    unsigned slots = 1;         ///< Leases it may hold at once.
     std::size_t activeLeases = 0; ///< Leases currently outstanding.
 };
 

@@ -275,13 +275,6 @@ ResultStore::list() const
     return out;
 }
 
-std::uint64_t
-ResultStore::totalBytes() const
-{
-    MutexLock lock(mutex_);
-    return bytesTotal_;
-}
-
 std::size_t
 ResultStore::entries() const
 {

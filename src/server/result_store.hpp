@@ -105,10 +105,7 @@ class ResultStore
      */
     bool wasEvicted(std::uint64_t id) const IMPSIM_EXCLUDES(mutex_);
 
-    /** Payload bytes currently stored. */
-    std::uint64_t totalBytes() const IMPSIM_EXCLUDES(mutex_);
     std::size_t entries() const IMPSIM_EXCLUDES(mutex_);
-    bool persistent() const { return !dir_.empty(); }
 
   private:
     /** Evicts LRU entries beyond the bounds. */

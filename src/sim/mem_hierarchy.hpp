@@ -30,7 +30,6 @@ class MemHierarchy
     L2Controller &l2(CoreId tile) { return *l2s_[tile]; }
     MeshNoc &noc() { return noc_; }
     DramModel &dram() { return *dram_; }
-    const McMap &mcMap() const { return mcMap_; }
     std::uint32_t numCores() const
     {
         return static_cast<std::uint32_t>(l1s_.size());

@@ -65,7 +65,7 @@ makePreset(ConfigPreset p, std::uint32_t cores, CoreModel model)
     SystemConfig cfg;
     cfg.numCores = cores;
     cfg.coreModel = model;
-    // Presets express their engine as a registry spec string; callers
+    // Presets express their engine as a prefetcher spec string; callers
     // may overwrite prefetcherSpec / l2PrefetcherSpec afterwards to
     // re-aim any preset at a different engine or cache level.
     switch (p) {

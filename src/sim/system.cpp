@@ -26,21 +26,12 @@ System::System(const SystemConfig &cfg,
     buildCores();
 }
 
-std::unique_ptr<Prefetcher>
-System::makePrefetcher(CoreId c)
-{
-    PrefetcherContext ctx{cfg_, c, &traces_[c], AttachLevel::L1};
-    return PrefetcherRegistry::instance().make(
-        cfg_.effectivePrefetcherSpec(c), hier_->l1(c), ctx);
-}
-
 void
 System::attachL2Prefetchers()
 {
     for (CoreId t = 0; t < cfg_.numCores; ++t) {
-        PrefetcherContext ctx{cfg_, t, &traces_[t], AttachLevel::L2};
-        if (auto pf = PrefetcherRegistry::instance().make(
-                cfg_.effectiveL2PrefetcherSpec(t), hier_->l2(t), ctx))
+        if (auto pf = makePrefetcher(cfg_.effectiveL2PrefetcherSpec(t),
+                                     hier_->l2(t), cfg_, AttachLevel::L2))
             hier_->l2(t).attachPrefetcher(std::move(pf));
     }
 }
@@ -59,7 +50,8 @@ System::buildCores()
     Barrier *bar = barrier_.get();
     cores_.reserve(cfg_.numCores);
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (auto pf = makePrefetcher(c))
+        if (auto pf = makePrefetcher(cfg_.effectivePrefetcherSpec(c),
+                                     hier_->l1(c), cfg_, AttachLevel::L1))
             hier_->l1(c).attachPrefetcher(std::move(pf));
         params.id = c;
         auto on_finish = [this] { ++coresDone_; };

@@ -57,7 +57,6 @@ class System
   private:
     void buildCores();
     void attachL2Prefetchers();
-    std::unique_ptr<Prefetcher> makePrefetcher(CoreId c);
 
     SystemConfig cfg_;
     const std::vector<CoreTrace> &traces_;

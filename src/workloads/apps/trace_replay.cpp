@@ -1,11 +1,10 @@
 /**
  * @file
  * Trace replay "kernel": turns a recorded IMPTRACE file back into a
- * Workload by feeding every decoded record through TraceBuilder —
- * the same construction path every synthetic app uses, so the replay
- * reproduces the recorded per-core access streams bit-exactly
- * (barrier flags included) and the simulator cannot tell the two
- * apart.
+ * Workload. Each decoded record becomes one MemAccess of its core's
+ * trace, barrier flag included, so the replay reproduces the recorded
+ * per-core access streams bit-exactly and the simulator cannot tell
+ * the two apart.
  *
  * Branch records are folded into the following access's instruction
  * gap (a branch is one non-memory instruction); branches after a
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "common/logging.hpp"
-#include "workloads/trace_builder.hpp"
 #include "workloads/trace_io.hpp"
 #include "workloads/workload.hpp"
 
@@ -47,25 +45,26 @@ makeTraceReplay(const WorkloadParams &params)
                              " cores, but this run wants " +
                              std::to_string(params.numCores));
 
-    TraceBuilder tb(sum.numCores);
-    reader.readMemoryImage(tb.mem());
+    Workload w;
+    w.name = std::string(kTraceAppPrefix) + baseName(path);
+    w.mem = std::make_shared<FuncMem>();
+    reader.readMemoryImage(*w.mem);
 
-    // Decode into per-core streams, folding branches into gaps and
+    // Decode into per-core traces, folding branches into gaps and
     // validating the stream-position-relative fields as we go. Sized
     // by what is actually decoded, never by the header's claim.
-    std::vector<std::vector<MemAccess>> accs(sum.numCores);
+    w.traces.resize(sum.numCores);
     std::vector<std::uint64_t> pendingGap(sum.numCores, 0);
-    std::vector<std::uint64_t> tails(sum.numCores, 0);
     TraceRecord r;
     while (reader.next(r)) {
         std::uint64_t off = reader.lastRecordOffset();
-        std::vector<MemAccess> &stream = accs[r.core];
+        std::vector<MemAccess> &stream = w.traces[r.core].accesses;
         switch (r.kind) {
           case TraceRecordKind::Branch:
             pendingGap[r.core] += std::uint64_t{r.gap} + 1;
             break;
           case TraceRecordKind::Tail:
-            tails[r.core] += r.addr;
+            w.traces[r.core].tailInstructions += r.addr;
             break;
           default: {
             if (r.dep > stream.size())
@@ -98,63 +97,20 @@ makeTraceReplay(const WorkloadParams &params)
           }
         }
     }
-    for (std::uint32_t c = 0; c < sum.numCores; ++c)
-        tails[c] += pendingGap[c]; // branches after the last access
-
-    // Barriers are global: crossing k is the k-th barrier-flagged
-    // access of *every* core. Unequal counts would deadlock the
-    // simulated barrier network.
-    std::uint64_t crossings = 0;
+    // Branches after a core's last access, and barriers: crossing k
+    // is the k-th barrier-flagged access of *every* core, so unequal
+    // counts would deadlock the simulated barrier network.
+    const std::uint64_t crossings = w.traces[0].barrierCount();
     for (std::uint32_t c = 0; c < sum.numCores; ++c) {
-        std::uint64_t n = 0;
-        for (const MemAccess &a : accs[c])
-            n += a.hasBarrier() ? 1 : 0;
-        if (c == 0)
-            crossings = n;
-        else if (n != crossings)
+        w.traces[c].tailInstructions += pendingGap[c];
+        std::uint64_t n = w.traces[c].barrierCount();
+        if (n != crossings)
             throw TraceError(path, 0,
                              "barrier count mismatch: core 0 crosses " +
                                  std::to_string(crossings) +
                                  " barriers, core " + std::to_string(c) +
                                  " crosses " + std::to_string(n));
     }
-
-    // Re-emit through TraceBuilder epoch by epoch: everything before
-    // each core's k-th flagged access belongs to epoch k-1, so one
-    // tb.barrier() between epochs reproduces the flags exactly.
-    std::vector<std::size_t> pos(sum.numCores, 0);
-    for (std::uint64_t epoch = 0; epoch <= crossings; ++epoch) {
-        if (epoch > 0)
-            tb.barrier();
-        for (std::uint32_t c = 0; c < sum.numCores; ++c) {
-            std::vector<MemAccess> &stream = accs[c];
-            bool first = true;
-            while (pos[c] < stream.size()) {
-                const MemAccess &a = stream[pos[c]];
-                if (a.hasBarrier() && !(first && epoch > 0))
-                    break; // starts the next epoch
-                first = false;
-                if (a.isSwPrefetch())
-                    tb.swPrefetch(c, a.pc, a.addr, a.gap);
-                else if (a.isWrite())
-                    tb.store(c, a.pc, a.addr, a.size, a.type, a.gap,
-                             a.dep);
-                else
-                    tb.load(c, a.pc, a.addr, a.size, a.type, a.gap,
-                            a.dep);
-                ++pos[c];
-            }
-        }
-    }
-    for (std::uint32_t c = 0; c < sum.numCores; ++c) {
-        if (tails[c] > 0)
-            tb.tail(c, tails[c]);
-    }
-
-    Workload w;
-    w.name = std::string(kTraceAppPrefix) + baseName(path);
-    w.traces = tb.take();
-    w.mem = tb.memPtr();
     return w;
 }
 

@@ -8,6 +8,13 @@
 
 namespace impsim {
 
+namespace {
+
+/** PC of the sync loads syncEmptyPhases() emits. */
+constexpr std::uint32_t kPcBarrierSync = 0x5f00;
+
+} // namespace
+
 TraceBuilder::TraceBuilder(std::uint32_t num_cores)
     : numCores_(num_cores), mem_(std::make_shared<FuncMem>())
 {
@@ -88,13 +95,24 @@ TraceBuilder::reserve(std::uint32_t core, std::size_t accesses)
 }
 
 void
+TraceBuilder::syncEmptyPhases()
+{
+    for (std::uint32_t c = 0; c < numCores_; ++c) {
+        if (!barrierPending_[c])
+            continue;
+        if (syncBase_ == 0)
+            syncBase_ = alloc_.alloc("barrier_sync",
+                                     std::uint64_t{numCores_} * kLineSize);
+        load(c, kPcBarrierSync, syncBase_ + std::uint64_t{c} * kLineSize,
+             4, AccessType::Other, 2);
+    }
+}
+
+void
 TraceBuilder::barrier()
 {
-    for (auto &b : barrierPending_) {
-        IMPSIM_CHECK(!b, "two barriers with no access in between on "
-                         "some core (emit a sync access per phase)");
-        b = 1;
-    }
+    syncEmptyPhases();
+    barrierPending_.assign(numCores_, 1);
 }
 
 void
@@ -106,10 +124,7 @@ TraceBuilder::tail(std::uint32_t core, std::uint64_t instructions)
 std::vector<CoreTrace>
 TraceBuilder::take()
 {
-    for (std::uint32_t c = 0; c < numCores_; ++c) {
-        IMPSIM_CHECK(!barrierPending_[c],
-                     "barrier with no subsequent access on some core");
-    }
+    syncEmptyPhases();
     return std::move(traces_);
 }
 

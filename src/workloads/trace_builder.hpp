@@ -78,8 +78,9 @@ class TraceBuilder
 
     /**
      * Inserts a global barrier: the next access each core emits waits
-     * for all cores. Every core must emit at least one access
-     * afterwards.
+     * for all cores. A core that emitted nothing since the previous
+     * barrier first gets a sync load (see syncEmptyPhases()), so every
+     * core crosses every barrier.
      */
     void barrier();
 
@@ -95,11 +96,21 @@ class TraceBuilder
   private:
     std::size_t emit(std::uint32_t core, MemAccess a);
 
+    /**
+     * Gives each core with no access since the last barrier one
+     * 4-byte load of its own line of a sync array (allocated on first
+     * use), the access that carries the barrier flag. Kernels whose
+     * phases split work over cores leave a core empty whenever it has
+     * fewer items than there are cores.
+     */
+    void syncEmptyPhases();
+
     std::uint32_t numCores_;
     std::shared_ptr<FuncMem> mem_;
     VirtAlloc alloc_;
     std::vector<CoreTrace> traces_;
     std::vector<std::uint8_t> barrierPending_;
+    Addr syncBase_ = 0; ///< The sync array; 0 until a core needs it.
 };
 
 } // namespace impsim

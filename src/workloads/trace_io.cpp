@@ -103,16 +103,37 @@ getU64(const std::uint8_t *p)
     return v;
 }
 
-// ---- Codec registry ---------------------------------------------------
+// ---- Compression codecs -----------------------------------------------
 
-std::vector<TraceCodec> &
-codecs()
+/**
+ * An external filter pair for one path extension. Commands run via
+ * popen with the (shell-quoted) file redirected in or out, e.g.
+ * "gzip -dc" reads the compressed file on stdin and writes decoded
+ * bytes to its stdout.
+ */
+struct TraceCodec
 {
-    static std::vector<TraceCodec> c{
-        {".gz", "gzip -dc", "gzip -c"},
-        {".xz", "xz -dc", "xz -c"},
-    };
-    return c;
+    const char *extension;  ///< Including the dot, e.g. ".gz".
+    const char *decompress; ///< Filter: compressed stdin -> raw stdout.
+    const char *compress;   ///< Filter: raw stdin -> compressed stdout.
+};
+
+constexpr TraceCodec kCodecs[] = {
+    {".gz", "gzip -dc", "gzip -c"},
+    {".xz", "xz -dc", "xz -c"},
+};
+
+/** The codec whose extension ends @p path, or nullptr for plain stdio. */
+const TraceCodec *
+codecFor(const std::string &path)
+{
+    for (const TraceCodec &c : kCodecs) {
+        const std::size_t n = std::strlen(c.extension);
+        if (path.size() > n &&
+            path.compare(path.size() - n, n, c.extension) == 0)
+            return &c;
+    }
+    return nullptr;
 }
 
 /** Single-quotes @p path for the shell ('"'"'-escaping embedded '). */
@@ -350,13 +371,14 @@ class PipeSink : public ByteSink
 std::unique_ptr<ByteSink>
 openTraceSink(const std::string &path)
 {
-    if (const TraceCodec *codec = traceCodecFor(path)) {
-        std::string cmd = codec->compress + " > " + shellQuote(path);
+    if (const TraceCodec *codec = codecFor(path)) {
+        std::string cmd =
+            std::string(codec->compress) + " > " + shellQuote(path);
         std::FILE *f = ::popen(cmd.c_str(), "w");
         if (!f)
             throw TraceError(path, 0,
                              "cannot start compressor '" +
-                                 codec->compress + "'");
+                                 std::string(codec->compress) + "'");
         return std::make_unique<PipeSink>(path, codec->compress, f);
     }
     std::FILE *f = std::fopen(path.c_str(), "wb");
@@ -531,8 +553,8 @@ decodeRecord(const std::uint8_t in[kTraceRecordBytes], std::uint64_t index,
             fail("invalid flags for a load/store record");
         break;
       case TraceRecordKind::SwPrefetch:
-        // The replay path goes through TraceBuilder::swPrefetch,
-        // which pins these (4-byte, Other-typed, dependency-free).
+        // TraceBuilder::swPrefetch pins these (4-byte, Other-typed,
+        // dependency-free), and replay copies records as they are.
         if (r.size != 4 || r.dep != 0 || r.type != AccessType::Other)
             fail("software-prefetch records must have size 4, dep 0 "
                  "and type other");
@@ -568,52 +590,25 @@ TraceError::TraceError(const std::string &path, std::uint64_t offset,
 {
 }
 
-// ---- Codec registry ---------------------------------------------------
-
-const TraceCodec *
-traceCodecFor(const std::string &path)
-{
-    for (const TraceCodec &c : codecs()) {
-        if (path.size() > c.extension.size() &&
-            path.compare(path.size() - c.extension.size(),
-                         c.extension.size(), c.extension) == 0)
-            return &c;
-    }
-    return nullptr;
-}
-
-void
-registerTraceCodec(const TraceCodec &codec)
-{
-    IMPSIM_CHECK(!codec.extension.empty() && codec.extension[0] == '.',
-                 "codec extensions start with a dot");
-    for (TraceCodec &c : codecs()) {
-        if (c.extension == codec.extension) {
-            c = codec;
-            return;
-        }
-    }
-    codecs().push_back(codec);
-}
-
 // ---- Sources ----------------------------------------------------------
 
 std::unique_ptr<ByteSource>
 openTraceSource(const std::string &path)
 {
-    if (const TraceCodec *codec = traceCodecFor(path)) {
+    if (const TraceCodec *codec = codecFor(path)) {
         // Probe existence first: popen would happily start a filter
         // on a missing file and only fail later with a shell message.
         if (std::FILE *probe = std::fopen(path.c_str(), "rb"))
             std::fclose(probe);
         else
             throw TraceError(path, 0, "cannot open trace file");
-        std::string cmd = codec->decompress + " < " + shellQuote(path);
+        std::string cmd =
+            std::string(codec->decompress) + " < " + shellQuote(path);
         std::FILE *f = ::popen(cmd.c_str(), "r");
         if (!f)
             throw TraceError(path, 0,
                              "cannot start decompressor '" +
-                                 codec->decompress + "'");
+                                 std::string(codec->decompress) + "'");
         return std::make_unique<PipeSource>(path, codec->decompress, f);
     }
     std::FILE *f = std::fopen(path.c_str(), "rb");

@@ -21,10 +21,9 @@
  * a TraceError with the byte offset — never UB, never an allocation
  * sized from an attacker-controlled field.
  *
- * Compression is pluggable: a codec registry maps path extensions to
- * external filter commands run via popen ("gzip -dc" / "xz -dc" by
- * default), so there is no library dependency; uncompressed traces
- * use plain stdio. The reader streams through a fixed-size buffer —
+ * Compression goes through external filter commands run via popen:
+ * a ".gz" path through gzip, a ".xz" path through xz, so there is no
+ * library dependency; any other path is plain stdio. The reader streams through a fixed-size buffer —
  * it never slurps a whole file (scripts/impsim_lint.py enforces
  * this: no-unbounded-trace-read).
  */
@@ -127,33 +126,6 @@ struct TraceSummary
     std::uint64_t memChunkCount = 0;
 };
 
-// ---- Pluggable compression codecs -------------------------------------
-
-/**
- * An external filter pair for one path extension. Commands run via
- * popen with the (shell-quoted) file redirected in or out, e.g.
- * "gzip -dc" reads the compressed file on stdin and writes decoded
- * bytes to its stdout.
- */
-struct TraceCodec
-{
-    std::string extension;  ///< Including the dot, e.g. ".gz".
-    std::string decompress; ///< Filter: compressed stdin -> raw stdout.
-    std::string compress;   ///< Filter: raw stdin -> compressed stdout.
-};
-
-/**
- * The codec whose extension matches @p path, or nullptr for plain
- * stdio. ".gz" and ".xz" are built in.
- */
-const TraceCodec *traceCodecFor(const std::string &path);
-
-/**
- * Registers (or replaces, by extension) a codec. Not thread-safe:
- * register before spawning simulation threads.
- */
-void registerTraceCodec(const TraceCodec &codec);
-
 // ---- Bounded streaming I/O --------------------------------------------
 
 /**
@@ -177,9 +149,9 @@ class ByteSource
 };
 
 /**
- * Opens @p path for reading, routing through the extension's codec
- * filter if one is registered. @throws TraceError if the file cannot
- * be opened.
+ * Opens @p path for reading, decompressing a ".gz" or ".xz" path
+ * through `gzip -dc` or `xz -dc`. @throws TraceError if the file
+ * cannot be opened.
  */
 std::unique_ptr<ByteSource> openTraceSource(const std::string &path);
 
@@ -243,8 +215,8 @@ struct TraceWriteStats
 };
 
 /**
- * Encodes and writes a complete trace file, compressing through the
- * path extension's codec if one is registered. @p mem may be nullptr
+ * Encodes and writes a complete trace file, compressing a ".gz" or
+ * ".xz" path through `gzip -c` or `xz -c`. @p mem may be nullptr
  * for a trace with no memory image. @throws TraceError on I/O or
  * filter failure.
  */

@@ -1,12 +1,10 @@
 /**
  * @file
- * Unit tests for the GHB correlation prefetcher and the oracle
- * prefetcher.
+ * Unit tests for the GHB correlation prefetcher.
  */
 #include <gtest/gtest.h>
 
 #include "core/ghb.hpp"
-#include "core/perfect_prefetcher.hpp"
 #include "fake_host.hpp"
 
 namespace impsim {
@@ -72,77 +70,6 @@ TEST(Ghb, HitsDoNotPollute)
     drv.access(0x1000, 1); // Miss.
     drv.access(0x1000, 1); // Hit: not recorded.
     EXPECT_EQ(ghb.historySize(), 1u);
-}
-
-CoreTrace
-straightLineTrace(int n, Addr stride)
-{
-    CoreTrace t;
-    for (int i = 0; i < n; ++i) {
-        MemAccess a;
-        a.addr = 0x10000 + i * stride;
-        a.pc = 1;
-        a.size = 8;
-        a.type = AccessType::Other;
-        t.accesses.push_back(a);
-    }
-    return t;
-}
-
-TEST(Perfect, PrefetchesTheFuture)
-{
-    FakeHost host;
-    CoreTrace t = straightLineTrace(100, 64);
-    PerfectPrefetcher pf(host, t, /*lookahead=*/16, /*inflight=*/8);
-    PrefetchDriver drv(host, pf);
-    drv.autoFill = false;
-
-    drv.access(t.accesses[0].addr, 1, 8);
-    // It should have raced ahead by up to min(lookahead, inflight).
-    EXPECT_GE(host.issued.size(), 7u);
-    for (const auto &r : host.issued)
-        EXPECT_GT(r.addr, t.accesses[0].addr);
-}
-
-TEST(Perfect, InflightBoundRespected)
-{
-    FakeHost host;
-    CoreTrace t = straightLineTrace(100, 64);
-    PerfectPrefetcher pf(host, t, 64, 4);
-    PrefetchDriver drv(host, pf);
-    drv.autoFill = false;
-    drv.access(t.accesses[0].addr, 1, 8);
-    EXPECT_LE(host.issued.size(), 4u);
-    // Fills free slots and let it continue.
-    drv.drainPrefetches();
-    EXPECT_GT(host.issued.size(), 4u);
-}
-
-TEST(Perfect, SkipsResidentLines)
-{
-    FakeHost host;
-    CoreTrace t = straightLineTrace(32, 64);
-    for (const auto &a : t.accesses)
-        host.resident.insert(lineAlign(a.addr)); // Everything cached.
-    PerfectPrefetcher pf(host, t, 16, 8);
-    PrefetchDriver drv(host, pf);
-    drv.access(t.accesses[0].addr, 1, 8);
-    EXPECT_TRUE(host.issued.empty());
-}
-
-TEST(Perfect, ExclusiveForStores)
-{
-    FakeHost host;
-    CoreTrace t = straightLineTrace(16, 64);
-    for (auto &a : t.accesses)
-        a.flags |= kFlagWrite;
-    PerfectPrefetcher pf(host, t, 8, 8);
-    PrefetchDriver drv(host, pf);
-    drv.autoFill = false;
-    drv.access(t.accesses[0].addr, 1, 8, true);
-    ASSERT_FALSE(host.issued.empty());
-    for (const auto &r : host.issued)
-        EXPECT_TRUE(r.exclusive);
 }
 
 } // namespace

@@ -44,6 +44,15 @@ TEST(Integration, IdealRunsAtIpcOne)
     EXPECT_EQ(s.dram.bytes(), 0u);
 }
 
+TEST(Integration, SymgsRunsWithEmptyColorSlices)
+{
+    // At scale 0.05 a color is 204 rows, so 52 of 256 cores have an
+    // empty slice in every color phase.
+    SimStats s = runPreset(AppId::Symgs, ConfigPreset::Baseline, 256, 0.05);
+    EXPECT_GT(s.cycles, 0u);
+    EXPECT_EQ(s.perCore.size(), 256u);
+}
+
 TEST(Integration, ConfigOrderingHolds)
 {
     // Ideal <= PerfPref <= IMP <= Base in cycles on an

@@ -33,12 +33,11 @@ l2TestConfig()
 TEST(L2Engine, StreamEngineDetectsLineGranularStrides)
 {
     // An L2-attached engine sees one access per line (the L1 miss
-    // stream); the registry must hand it the line-granular stream
+    // stream); the factory must hand it the line-granular stream
     // knobs so a sequential scan still confirms.
     FakeHost host;
     SystemConfig cfg = l2TestConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr, AttachLevel::L2};
-    auto pf = PrefetcherRegistry::instance().make("stream", host, ctx);
+    auto pf = makePrefetcher("stream", host, cfg, AttachLevel::L2);
     ASSERT_NE(pf, nullptr);
     PrefetchDriver drv(host, *pf);
 
@@ -58,8 +57,7 @@ TEST(L2Engine, L1ConfiguredStreamEngineMissesLineStrides)
     // attach needs its own knobs.
     FakeHost host;
     SystemConfig cfg = l2TestConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr, AttachLevel::L1};
-    auto pf = PrefetcherRegistry::instance().make("stream", host, ctx);
+    auto pf = makePrefetcher("stream", host, cfg, AttachLevel::L1);
     PrefetchDriver drv(host, *pf);
     for (int i = 0; i < 8; ++i)
         drv.access(0x40000 + i * kLineSize, 7, 4);
@@ -74,8 +72,7 @@ TEST(L2Engine, ImpDetectsIndirectionOnTheMissStream)
     // though the observed stride is the 64-byte line pitch.
     FakeHost host;
     SystemConfig cfg = l2TestConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr, AttachLevel::L2};
-    auto made = PrefetcherRegistry::instance().make("imp", host, ctx);
+    auto made = makePrefetcher("imp", host, cfg, AttachLevel::L2);
     auto *imp = dynamic_cast<ImpPrefetcher *>(made.get());
     ASSERT_NE(imp, nullptr);
     PrefetchDriver drv(host, *made);

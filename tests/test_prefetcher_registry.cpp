@@ -1,16 +1,19 @@
 /**
  * @file
- * Prefetcher registry: name lookup, error reporting, `+`-composition,
+ * Prefetcher factory: name list, error reporting, `+`-composition,
  * blank-segment handling, host decoupling (every engine builds against
- * a FakeHost), spec precedence per level, and per-core heterogeneous
- * systems.
+ * a FakeHost), spec precedence per level, per-core heterogeneous
+ * systems, and the docs' engine lists.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+
+#include "common/config_file.hpp"
 #include "core/composite_prefetcher.hpp"
 #include "core/ghb.hpp"
 #include "core/imp.hpp"
-#include "core/perfect_prefetcher.hpp"
 #include "core/prefetcher_registry.hpp"
 #include "core/stream_prefetcher.hpp"
 #include "fake_host.hpp"
@@ -29,35 +32,55 @@ testConfig()
     return cfg;
 }
 
+std::unique_ptr<Prefetcher>
+make(const std::string &spec, PrefetchHost &host)
+{
+    static const SystemConfig cfg = testConfig();
+    return makePrefetcher(spec, host, cfg, AttachLevel::L1);
+}
+
 TEST(Registry, KnowsEveryBuiltin)
 {
-    PrefetcherRegistry &reg = PrefetcherRegistry::instance();
-    for (const char *name : {"none", "stream", "imp", "ghb", "perfect"})
-        EXPECT_TRUE(reg.known(name)) << name;
-    EXPECT_FALSE(reg.known("bogus"));
-    EXPECT_FALSE(reg.known("stream+ghb")) << "specs are not names";
+    std::vector<std::string> names = prefetcherNames();
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"ghb", "imp", "none", "stream"}));
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()))
+        << "diagnostics list the names in this order";
 }
 
 TEST(Registry, UnknownNameDiesListingKnownNames)
 {
     FakeHost host;
-    SystemConfig cfg = testConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr};
-    EXPECT_EXIT(PrefetcherRegistry::instance().make("bogus", host, ctx),
-                ::testing::ExitedWithCode(1),
-                "unknown prefetcher 'bogus'.*known prefetchers:"
-                ".*ghb.*imp.*none.*perfect.*stream");
+    EXPECT_EXIT(make("bogus", host), ::testing::ExitedWithCode(1),
+                "unknown prefetcher 'bogus' in spec 'bogus'; known "
+                "prefetchers: ghb imp none stream");
 }
 
 TEST(Registry, UnknownComponentInsideSpecDies)
 {
     FakeHost host;
-    SystemConfig cfg = testConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr};
-    EXPECT_EXIT(
-        PrefetcherRegistry::instance().make("stream+bogus", host, ctx),
-        ::testing::ExitedWithCode(1),
-        "unknown prefetcher 'bogus' in spec 'stream\\+bogus'");
+    EXPECT_EXIT(make("stream+bogus", host), ::testing::ExitedWithCode(1),
+                "unknown prefetcher 'bogus' in spec 'stream\\+bogus'");
+}
+
+TEST(Registry, PerfectIsNotAnEngineAtBindTime)
+{
+    // The PerfPref preset idealises memory (perfectMemory); there is
+    // no "perfect" prefetch engine, so the binder refuses the name
+    // and lists the real ones.
+    CliOverrides cli;
+    ASSERT_EQ(addOverride(cli, "l1", "perfect"), "");
+    try {
+        bindExperiment(ConfigFile::parseString("[system]\ncores = 4\n"),
+                       cli);
+        FAIL() << "expected a ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unknown prefetcher 'perfect' in spec 'perfect' "
+                      "(known: ghb, imp, none, stream)"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Registry, SplitSpecTrimsAndSplits)
@@ -79,62 +102,41 @@ TEST(Registry, BlankSegmentsBuildNoEngineInsteadOfDying)
     // Regression: "stream+", " + " and "" used to die with the
     // confusing fatal "unknown prefetcher ''".
     FakeHost host;
-    SystemConfig cfg = testConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr};
-    PrefetcherRegistry &reg = PrefetcherRegistry::instance();
-
-    auto pf = reg.make("stream+", host, ctx);
+    auto pf = make("stream+", host);
     EXPECT_NE(dynamic_cast<StreamPrefetcher *>(pf.get()), nullptr);
     EXPECT_EQ(dynamic_cast<CompositePrefetcher *>(pf.get()), nullptr);
 
-    EXPECT_EQ(reg.make(" + ", host, ctx), nullptr);
-    EXPECT_EQ(reg.make("", host, ctx), nullptr);
-}
-
-TEST(Registry, DuplicateRegistrationRefused)
-{
-    PrefetcherRegistry &reg = PrefetcherRegistry::instance();
-    EXPECT_FALSE(reg.add(
-        "stream", [](PrefetchHost &, const PrefetcherContext &)
-            -> std::unique_ptr<Prefetcher> { return nullptr; }));
+    EXPECT_EQ(make(" + ", host), nullptr);
+    EXPECT_EQ(make("", host), nullptr);
 }
 
 TEST(Registry, EveryBuiltinConstructsAgainstAFakeHost)
 {
     FakeHost host;
     SystemConfig cfg = testConfig();
-    CoreTrace trace;
-    PrefetcherContext ctx{cfg, 0, &trace};
-    PrefetcherRegistry &reg = PrefetcherRegistry::instance();
-
-    EXPECT_EQ(reg.make("none", host, ctx), nullptr);
-    EXPECT_NE(dynamic_cast<StreamPrefetcher *>(
-                  reg.make("stream", host, ctx).get()),
-              nullptr);
-    EXPECT_NE(
-        dynamic_cast<ImpPrefetcher *>(reg.make("imp", host, ctx).get()),
-        nullptr);
-    EXPECT_NE(
-        dynamic_cast<GhbPrefetcher *>(reg.make("ghb", host, ctx).get()),
-        nullptr);
-    EXPECT_NE(dynamic_cast<PerfectPrefetcher *>(
-                  reg.make("perfect", host, ctx).get()),
-              nullptr);
+    for (AttachLevel level : {AttachLevel::L1, AttachLevel::L2}) {
+        EXPECT_EQ(makePrefetcher("none", host, cfg, level), nullptr);
+        EXPECT_NE(dynamic_cast<StreamPrefetcher *>(
+                      makePrefetcher("stream", host, cfg, level).get()),
+                  nullptr);
+        EXPECT_NE(dynamic_cast<ImpPrefetcher *>(
+                      makePrefetcher("imp", host, cfg, level).get()),
+                  nullptr);
+        EXPECT_NE(dynamic_cast<GhbPrefetcher *>(
+                      makePrefetcher("ghb", host, cfg, level).get()),
+                  nullptr);
+    }
 }
 
 TEST(Registry, NoneComponentsAreDroppedFromStacks)
 {
     FakeHost host;
-    SystemConfig cfg = testConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr};
-    PrefetcherRegistry &reg = PrefetcherRegistry::instance();
-
     // A stack whose only survivor is stream comes back bare.
-    auto pf = reg.make("none+stream", host, ctx);
+    auto pf = make("none+stream", host);
     EXPECT_NE(dynamic_cast<StreamPrefetcher *>(pf.get()), nullptr);
     EXPECT_EQ(dynamic_cast<CompositePrefetcher *>(pf.get()), nullptr);
 
-    EXPECT_EQ(reg.make("none+none", host, ctx), nullptr);
+    EXPECT_EQ(make("none+none", host), nullptr);
 }
 
 /** Appends its tag to a shared log on every hook (order probe). */
@@ -152,42 +154,58 @@ class RecordingPrefetcher final : public Prefetcher
     std::string tag_;
 };
 
-std::vector<std::string> &
-recorderLog()
-{
-    static std::vector<std::string> log;
-    return log;
-}
-
 TEST(Registry, CompositionPreservesSpecOrder)
 {
-    PrefetcherRegistry &reg = PrefetcherRegistry::instance();
-    for (const char *tag : {"rec_a", "rec_b"}) {
-        reg.add(tag, [tag](PrefetchHost &, const PrefetcherContext &)
-                    -> std::unique_ptr<Prefetcher> {
-            return std::make_unique<RecordingPrefetcher>(recorderLog(),
-                                                         tag);
-        });
-    }
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<Prefetcher>> children;
+    children.push_back(std::make_unique<RecordingPrefetcher>(log, "b"));
+    children.push_back(std::make_unique<RecordingPrefetcher>(log, "a"));
+    CompositePrefetcher composite(std::move(children));
+    composite.onAccess(AccessInfo{});
+    EXPECT_EQ(log, (std::vector<std::string>{"b", "a"}));
 
     FakeHost host;
-    SystemConfig cfg = testConfig();
-    PrefetcherContext ctx{cfg, 0, nullptr};
+    for (const char *spec : {"ghb+stream", "stream+ghb"}) {
+        auto pf = make(spec, host);
+        auto *stack = dynamic_cast<CompositePrefetcher *>(pf.get());
+        ASSERT_NE(stack, nullptr) << spec;
+        ASSERT_EQ(stack->childCount(), 2u);
+        bool ghb_first = spec[0] == 'g';
+        Prefetcher &ghb = stack->child(ghb_first ? 0 : 1);
+        Prefetcher &stream = stack->child(ghb_first ? 1 : 0);
+        EXPECT_NE(dynamic_cast<GhbPrefetcher *>(&ghb), nullptr) << spec;
+        EXPECT_NE(dynamic_cast<StreamPrefetcher *>(&stream), nullptr)
+            << spec;
+    }
+}
 
-    auto pf = reg.make("rec_b+rec_a", host, ctx);
-    auto *composite = dynamic_cast<CompositePrefetcher *>(pf.get());
-    ASSERT_NE(composite, nullptr);
-    EXPECT_EQ(composite->childCount(), 2u);
+/** The backquoted names on @p file's "Built-in engines:" line, sorted. */
+std::vector<std::string>
+documentedEngines(const std::string &file)
+{
+    std::ifstream in(std::string(IMPSIM_SOURCE_DIR) + "/" + file);
+    EXPECT_TRUE(in) << file;
+    std::vector<std::string> names;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("Built-in engines:", 0) != 0)
+            continue;
+        EXPECT_TRUE(names.empty()) << file << " lists the engines twice";
+        std::size_t open = line.find('`');
+        while (open != std::string::npos) {
+            std::size_t close = line.find('`', open + 1);
+            names.push_back(line.substr(open + 1, close - open - 1));
+            open = line.find('`', close + 1);
+        }
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
 
-    recorderLog().clear();
-    pf->onAccess(AccessInfo{});
-    EXPECT_EQ(recorderLog(),
-              (std::vector<std::string>{"rec_b", "rec_a"}));
-
-    recorderLog().clear();
-    reg.make("rec_a+rec_b", host, ctx)->onAccess(AccessInfo{});
-    EXPECT_EQ(recorderLog(),
-              (std::vector<std::string>{"rec_a", "rec_b"}));
+TEST(Registry, DocsListEveryBuiltinEngine)
+{
+    for (const char *file : {"docs/prefetcher_specs.md", "README.md"})
+        EXPECT_EQ(documentedEngines(file), prefetcherNames()) << file;
 }
 
 TEST(Registry, EffectiveSpecPrecedence)

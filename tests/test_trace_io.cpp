@@ -419,17 +419,22 @@ TEST(TraceIo, MissingFileAndFailingCodecAreDiagnosed)
     EXPECT_THROW(probeTraceHeader("/nonexistent/impsim.imptrace"),
                  TraceError);
 
-    // A codec whose filter dies must surface as TraceError at (or
-    // before) end-of-stream, never as a silent truncation.
-    registerTraceCodec({".zzfail", "false", "false"});
-    TempTrace file("codecfail", ".zzfail");
-    writeFileBytes(file.path(), "whatever");
+    // A filter that fails must surface as TraceError at (or before)
+    // end-of-stream, never as a silent truncation: gzip refuses a .gz
+    // file holding non-gzip bytes.
+    TempTrace junk("codecfail", ".gz");
+    writeFileBytes(junk.path(), "whatever");
     EXPECT_THROW(
         {
-            TraceReader reader(openTraceSource(file.path()));
+            TraceReader reader(openTraceSource(junk.path()));
         },
         TraceError);
-    EXPECT_THROW(writeTraceFile(file.path(), 1, {}, nullptr), TraceError);
+
+    // Under a missing directory the shell's redirection fails, so the
+    // compressor never starts and nothing reads the pipe.
+    TempTrace missing_dir("nodir", "");
+    const std::string unwritable = missing_dir.path() + "/t.imptrace.gz";
+    EXPECT_THROW(writeTraceFile(unwritable, 1, {}, nullptr), TraceError);
 
     // More than a pipe buffer's worth: the writer hits the dead filter
     // mid-stream, which must be EPIPE and a TraceError, not SIGPIPE.
@@ -438,7 +443,7 @@ TEST(TraceIo, MissingFileAndFailingCodecAreDiagnosed)
     TempTrace plain("bigplain");
     writeTraceFile(plain.path(), 1, recs, nullptr);
     ASSERT_GT(readFileBytes(plain.path()).size(), 64u << 10);
-    EXPECT_THROW(writeTraceFile(file.path(), 1, recs, nullptr), TraceError);
+    EXPECT_THROW(writeTraceFile(unwritable, 1, recs, nullptr), TraceError);
 }
 
 TEST(TraceIo, ProbeMatchesFullDecodeSummary)

@@ -148,9 +148,85 @@ TEST_P(RecordReplayDifferential, ReplayedStreamsAreBitIdentical)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Apps, RecordReplayDifferential,
-                         ::testing::Values(AppId::Spmv,
-                                           AppId::Pagerank));
+INSTANTIATE_TEST_SUITE_P(
+    Apps, RecordReplayDifferential, ::testing::ValuesIn(kAllApps),
+    [](const ::testing::TestParamInfo<AppId> &info) {
+        return appName(info.param);
+    });
+
+/** A load record of @p core (4 bytes, no dep, no barrier). */
+TraceRecord
+loadRecord(std::uint16_t core, std::uint32_t gap = 1)
+{
+    TraceRecord r;
+    r.addr = 0x10000000;
+    r.pc = 0x100;
+    r.gap = gap;
+    r.core = core;
+    r.size = 4;
+    return r;
+}
+
+/** Replays crafted @p records and returns the TraceError message. */
+std::string
+replayError(const char *tag, std::uint32_t cores,
+            const std::vector<TraceRecord> &records)
+{
+    TempTrace file(tag);
+    writeTraceFile(file.path(), cores, records, nullptr);
+    WorkloadParams params;
+    params.numCores = cores;
+    params.tracePath = file.path();
+    try {
+        makeTraceReplay(params);
+    } catch (const TraceError &e) {
+        return e.message();
+    }
+    ADD_FAILURE() << "expected a TraceError";
+    return "";
+}
+
+TEST(ReplayChecks, DepBeforeStreamStartIsRefused)
+{
+    TraceRecord first = loadRecord(0);
+    first.dep = 1; // nothing precedes core 0's first access
+    EXPECT_EQ(replayError("dep", 1, {first}),
+              "dep back-link 1 reaches before the start of core 0's "
+              "stream");
+}
+
+TEST(ReplayChecks, FoldedGapOverflowIsRefused)
+{
+    // A branch folds gap + 1 instructions into the next access: 2^32
+    // plus that access's own gap no longer fits its 32-bit field.
+    TraceRecord branch;
+    branch.kind = TraceRecordKind::Branch;
+    branch.gap = UINT32_MAX;
+    EXPECT_EQ(replayError("gap", 1, {branch, loadRecord(0, 0)}),
+              "instruction gap overflows 32 bits after folding branch "
+              "records");
+
+    // One instruction less fits exactly.
+    TraceRecord fits = branch;
+    fits.gap = UINT32_MAX - 1;
+    TempTrace file("gapfits");
+    writeTraceFile(file.path(), 1, {fits, loadRecord(0, 0)}, nullptr);
+    WorkloadParams params;
+    params.numCores = 1;
+    params.tracePath = file.path();
+    Workload w = makeTraceReplay(params);
+    ASSERT_EQ(w.traces[0].accesses.size(), 1u);
+    EXPECT_EQ(w.traces[0].accesses[0].gap, UINT32_MAX);
+}
+
+TEST(ReplayChecks, BarrierCountMismatchIsRefused)
+{
+    TraceRecord crosses = loadRecord(0);
+    crosses.flags = kTraceFlagBarrierBefore;
+    EXPECT_EQ(replayError("barriers", 2, {crosses, loadRecord(1)}),
+              "barrier count mismatch: core 0 crosses 1 barriers, core 1 "
+              "crosses 0");
+}
 
 TEST(RecordReplay, GzipRecordingReplaysIdentically)
 {

@@ -175,17 +175,40 @@ TEST(TraceBuilder, BarrierFlagsNextAccessPerCore)
     tb.load(0, 1, 0x104, 4, AccessType::Other, 0);
     tb.load(1, 1, 0x104, 4, AccessType::Other, 0);
     auto traces = tb.take();
+    ASSERT_EQ(traces[0].accesses.size(), 2u) << "no sync load added";
+    ASSERT_EQ(traces[1].accesses.size(), 2u) << "no sync load added";
     EXPECT_FALSE(traces[0].accesses[0].hasBarrier());
     EXPECT_TRUE(traces[0].accesses[1].hasBarrier());
     EXPECT_TRUE(traces[1].accesses[1].hasBarrier());
 }
 
-TEST(TraceBuilderDeath, DanglingBarrierPanics)
+TEST(TraceBuilder, EmptyPhasesGetOneSyncLoadEach)
 {
-    TraceBuilder tb(1);
+    // Core 1 emits nothing in either phase: it gets one sync load
+    // before the second barrier and one at take(), each carrying the
+    // barrier flag, so both cores cross both barriers.
+    TraceBuilder tb(2);
     tb.load(0, 1, 0x100, 4, AccessType::Other, 0);
     tb.barrier();
-    EXPECT_DEATH(tb.take(), "barrier");
+    tb.load(0, 1, 0x104, 4, AccessType::Other, 0);
+    tb.barrier();
+    auto traces = tb.take();
+    ASSERT_EQ(traces[0].accesses.size(), 3u);
+    ASSERT_EQ(traces[1].accesses.size(), 2u);
+    EXPECT_EQ(traces[0].barrierCount(), 2u);
+    EXPECT_EQ(traces[1].barrierCount(), 2u);
+    const MemAccess &end0 = traces[0].accesses[2];
+    EXPECT_TRUE(end0.hasBarrier());
+    for (const MemAccess &sync : traces[1].accesses) {
+        EXPECT_TRUE(sync.hasBarrier());
+        EXPECT_FALSE(sync.isWrite());
+        EXPECT_EQ(sync.size, 4u);
+        EXPECT_EQ(sync.type, AccessType::Other);
+        EXPECT_EQ(sync.pc, end0.pc) << "one sync PC";
+    }
+    // Each core loads its own line of one sync array.
+    EXPECT_EQ(traces[1].accesses[0].addr, traces[1].accesses[1].addr);
+    EXPECT_EQ(traces[1].accesses[0].addr, end0.addr + kLineSize);
 }
 
 TEST(TraceBuilder, PutArrayLandsInFuncMem)
@@ -277,6 +300,27 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AppId> &info) {
         return appName(info.param);
     });
+
+TEST(Workloads, EveryAppBuildsWithMoreCoresThanWork)
+{
+    // At scale 0.001 the inputs are far smaller than these core
+    // counts, so symgs and pagerank leave cores with empty barrier
+    // phases; every core must still cross every barrier.
+    for (AppId app : kAllApps) {
+        for (std::uint32_t cores : {1024u, 4096u}) {
+            WorkloadParams p;
+            p.numCores = cores;
+            p.scale = 0.001;
+            Workload w = makeWorkload(app, p);
+            ASSERT_EQ(w.traces.size(), cores) << appName(app);
+            std::uint64_t expect = w.traces[0].barrierCount();
+            for (std::uint32_t c = 0; c < cores; ++c)
+                ASSERT_EQ(w.traces[c].barrierCount(), expect)
+                    << appName(app) << " at " << cores << " cores, core "
+                    << c;
+        }
+    }
+}
 
 TEST(Workloads, IndirectFractionIsHighForPaperApps)
 {

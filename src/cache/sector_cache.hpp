@@ -32,7 +32,8 @@ enum class CState : std::uint8_t {
  *  beats the naive 40-byte layout's 1.6. */
 struct CacheLine
 {
-    Addr lineAddr = kNoAddr;     ///< Line-aligned address (tag).
+    Addr lineAddr = kNoAddr;     ///< Line-aligned address (tag);
+                                 ///< kNoAddr whenever invalid.
     std::uint64_t lastUse = 0;   ///< LRU timestamp.
     std::uint32_t validMask = 0; ///< Per-sector valid bits.
     std::uint32_t dirtyMask = 0; ///< Per-sector dirty bits.
@@ -122,6 +123,9 @@ class SectorCache
      * Finds the line holding @p line_addr. Inline: this is the single
      * most-called function in a simulation (every demand access,
      * prefetch probe and coherence action starts with a tag lookup).
+     * It compares tags only: an invalid frame's tag is kNoAddr (from
+     * construction and from invalidate()), which no line-aligned
+     * address equals, so no valid() test is needed.
      * @return mutable pointer, or nullptr on tag miss. Does not update
      *         LRU state; call touch() on a real access.
      */
@@ -131,7 +135,7 @@ class SectorCache
         line_addr = lineAlign(line_addr);
         CacheLine *base = &frames_[std::size_t{setOf(line_addr)} * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (base[w].valid() && base[w].lineAddr == line_addr)
+            if (base[w].lineAddr == line_addr)
                 return &base[w];
         }
         return nullptr;

@@ -44,6 +44,15 @@ struct BwGrant
  * links claimed in per-hop succession, and one shared backing store
  * with shared parameters is far denser in cache than a vector of
  * independent objects.
+ *
+ * Layout: time-major. Ring position p of every resource is one
+ * contiguous row, slot (p, res) at `p * count + res`, so the few
+ * windows near the current tick — the only ones most claims touch —
+ * are a few adjacent cache lines for the whole mesh. One 4 KiB ring
+ * per resource would put every link's live window at the same L1 set
+ * index, where 64 links evict each other. Each resource owns `slots`
+ * windows either way: the layout decides where a window lives, never
+ * a grant.
  */
 class BandwidthArray
 {
@@ -63,10 +72,10 @@ class BandwidthArray
                    std::uint32_t bucket_cycles = 32,
                    std::uint32_t slots = 512)
         : bucketShift_(ctz(bucket_cycles)), slotMask_(slots - 1),
-          slotBits_(ctz(slots)), slots_(slots),
+          slots_(slots), count_(count),
           capacityPerBucket_(static_cast<std::uint64_t>(
               units_per_cycle * bucket_cycles)),
-          ring_(count << slotBits_, Slot{~std::uint32_t{0}, 0})
+          ring_(count * slots, Slot{~std::uint32_t{0}, 0})
     {
         IMPSIM_CHECK((bucket_cycles & (bucket_cycles - 1)) == 0 &&
                          bucket_cycles != 0,
@@ -89,32 +98,23 @@ class BandwidthArray
         // Fast path: the request's own window has room for the whole
         // claim (the overwhelmingly common case on a non-saturated
         // link) — one slot probe, no search loop.
-        Slot *ring = ring_.data() + (res << slotBits_);
-        {
-            std::uint64_t bucket = t >> bucketShift_;
-            Slot &s = ring[bucket & slotMask_];
-            if (s.bucket != static_cast<std::uint32_t>(bucket)) {
-                s.bucket = static_cast<std::uint32_t>(bucket);
-                s.used = 0;
-            }
-            if (s.used + units <= capacityPerBucket_) {
-                s.used += static_cast<std::uint32_t>(units);
-                return BwGrant{t, t, 0};
-            }
+        std::uint64_t bucket = t >> bucketShift_;
+        Slot &s = slot(res, bucket);
+        if (s.bucket != static_cast<std::uint32_t>(bucket)) {
+            s.bucket = static_cast<std::uint32_t>(bucket);
+            s.used = 0;
         }
-        return claimSlow(ring, t, units);
+        if (s.used + units <= capacityPerBucket_) {
+            s.used += static_cast<std::uint32_t>(units);
+            return BwGrant{t, t, 0};
+        }
+        return claimSlow(res, t, units);
     }
 
     /** Window size in cycles (diagnostics). */
     std::uint64_t bucketCycles() const
     {
         return std::uint64_t{1} << bucketShift_;
-    }
-
-    void
-    reset()
-    {
-        ring_.assign(ring_.size(), Slot{~std::uint32_t{0}, 0});
     }
 
   private:
@@ -132,8 +132,15 @@ class BandwidthArray
         std::uint32_t used;
     };
 
+    /** Resource @p res's ring slot for absolute bucket @p bucket. */
+    Slot &
+    slot(std::size_t res, std::uint64_t bucket)
+    {
+        return ring_[(bucket & slotMask_) * count_ + res];
+    }
+
     BwGrant
-    claimSlow(Slot *ring, Tick t, std::uint64_t units)
+    claimSlow(std::size_t res, Tick t, std::uint64_t units)
     {
         BwGrant g;
         std::uint64_t remaining = units;
@@ -144,7 +151,7 @@ class BandwidthArray
         // by queueing and remain deterministic).
         std::uint64_t limit = bucket + 16 * slots_;
         while (remaining > 0) {
-            Slot &s = ring[bucket & slotMask_];
+            Slot &s = slot(res, bucket);
             if (s.bucket != static_cast<std::uint32_t>(bucket)) {
                 s.bucket = static_cast<std::uint32_t>(bucket);
                 s.used = 0;
@@ -181,8 +188,8 @@ class BandwidthArray
 
     std::uint32_t bucketShift_;
     std::uint32_t slotMask_;
-    std::uint32_t slotBits_;
     std::uint32_t slots_;
+    std::size_t count_;
     std::uint64_t capacityPerBucket_;
     std::vector<Slot> ring_;
 };
@@ -209,8 +216,6 @@ class BucketedBandwidth
 
     /** Window size in cycles (diagnostics). */
     std::uint64_t bucketCycles() const { return array_.bucketCycles(); }
-
-    void reset() { array_.reset(); }
 
   private:
     BandwidthArray array_;

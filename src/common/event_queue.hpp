@@ -50,12 +50,16 @@
 namespace impsim {
 
 /**
- * Callback invoked when an event fires. 48 inline bytes cover every
- * hot capture — the largest is an L1 hit completion (the demand's
- * DemandDoneFn plus its tick). Demand *retries* and upgrade replays
- * capture more and take SmallFn's heap fallback, but those fire only
- * on contended-line corner cases. At this capacity an EventFn is
- * exactly 64 bytes, the queue's cell size.
+ * Callback invoked when an event fires, and the completion type of
+ * every memory request: a demand's or a PTE read's `done` is an
+ * EventFn that the L1 schedules as is on a hit, so a hit costs one
+ * event and no wrapper closure. 48 inline bytes cover every hot
+ * capture — the largest is a TLB-gated prefetch (`this` plus a
+ * PrefetchRequest, 32 bytes); a core's load completion is 24. Demand
+ * retries, upgrade replays, DTLB-miss continuations and PerfPref
+ * stores capture a whole EventFn and take SmallFn's heap fallback,
+ * but those are corner cases or TLB-miss paths. At this capacity an
+ * EventFn is exactly 64 bytes, the queue's cell size.
  */
 using EventFn = SmallFn<void(), 48>;
 

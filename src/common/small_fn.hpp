@@ -3,19 +3,26 @@
  * Move-only callable with configurable inline storage.
  *
  * std::function's small-buffer optimisation (16 bytes in libstdc++)
- * is too small for the simulator's hot callbacks — a demand-retry
- * event captures `this`, a MemAccess and the completion callback —
+ * is too small for the simulator's hot callbacks — a core's load
+ * completion captures `this`, its issue tick and the access type —
  * so every simulated access used to heap-allocate at least one
  * closure. SmallFn inlines callables up to a chosen capacity into the
  * object itself (events then live entirely inside the event queue's
  * cells) and falls back to the heap only for oversized or
  * throwing-move captures.
+ *
+ * Almost every hot capture is a few pointers and integers: trivially
+ * copyable and trivially destructible. Those get no manager at all —
+ * a move copies the storage bytes and a destroy does nothing — so
+ * handing a completion from the core through the L1 into an event
+ * cell costs no indirect call per hop.
  */
 #ifndef IMPSIM_COMMON_SMALL_FN_HPP
 #define IMPSIM_COMMON_SMALL_FN_HPP
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,6 +40,19 @@ template <typename R, typename... Args, std::size_t Capacity>
 class SmallFn<R(Args...), Capacity>
 {
   public:
+    /** Whether a callable of type @p Fn is stored in place. */
+    template <typename Fn>
+    static constexpr bool kInline =
+        sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(std::uint64_t) &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
+    /** Whether @p Fn is stored in place and moved as plain bytes,
+     *  with no manager to call on a move or a destroy. */
+    template <typename Fn>
+    static constexpr bool kTrivial =
+        kInline<Fn> && std::is_trivially_copyable_v<Fn> &&
+        std::is_trivially_destructible_v<Fn>;
+
     SmallFn() = default;
     SmallFn(std::nullptr_t) {}
 
@@ -43,12 +63,11 @@ class SmallFn<R(Args...), Capacity>
     SmallFn(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= Capacity &&
-                      alignof(Fn) <= alignof(std::uint64_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (kInline<Fn>) {
             ::new (static_cast<void *>(storage_)) Fn(std::forward<F>(f));
             invoke_ = &invokeInline<Fn>;
-            manage_ = &manageInline<Fn>;
+            if constexpr (!kTrivial<Fn>)
+                manage_ = &manageInline<Fn>;
         } else {
             ::new (static_cast<void *>(storage_))
                 Fn *(new Fn(std::forward<F>(f)));
@@ -57,26 +76,14 @@ class SmallFn<R(Args...), Capacity>
         }
     }
 
-    SmallFn(SmallFn &&o) noexcept
-        : invoke_(o.invoke_), manage_(o.manage_)
-    {
-        if (manage_ != nullptr)
-            manage_(storage_, o.storage_);
-        o.invoke_ = nullptr;
-        o.manage_ = nullptr;
-    }
+    SmallFn(SmallFn &&o) noexcept { take(o); }
 
     SmallFn &
     operator=(SmallFn &&o) noexcept
     {
         if (this != &o) {
             destroy();
-            invoke_ = o.invoke_;
-            manage_ = o.manage_;
-            if (manage_ != nullptr)
-                manage_(storage_, o.storage_);
-            o.invoke_ = nullptr;
-            o.manage_ = nullptr;
+            take(o);
         }
         return *this;
     }
@@ -148,6 +155,22 @@ class SmallFn<R(Args...), Capacity>
     {
         if (manage_ != nullptr)
             manage_(nullptr, storage_);
+    }
+
+    /** Moves @p o's callable into this (empty) object; @p o ends
+     *  empty. Without a manager the target is trivially copyable (or
+     *  there is none), so copying the bytes moves it. */
+    void
+    take(SmallFn &o)
+    {
+        invoke_ = o.invoke_;
+        manage_ = o.manage_;
+        if (manage_ != nullptr)
+            manage_(storage_, o.storage_);
+        else
+            std::memcpy(storage_, o.storage_, Capacity);
+        o.invoke_ = nullptr;
+        o.manage_ = nullptr;
     }
 
     // 8-byte alignment (not max_align_t): captures are pointers and

@@ -83,85 +83,6 @@ PrefetchTable::allocate(std::uint32_t pc, Addr addr)
     return victim;
 }
 
-StreamObservation
-PrefetchTable::observe(std::uint32_t pc, Addr addr)
-{
-    StreamObservation obs;
-    std::int16_t id = findByPc(pc);
-    if (id == kNoEntry) {
-        obs.entry = allocate(pc, addr);
-        return obs;
-    }
-
-    PtEntry &e = entries_[id];
-    e.lru = ++lruClock_;
-    obs.entry = id;
-
-    std::int64_t delta = static_cast<std::int64_t>(addr) -
-                         static_cast<std::int64_t>(e.lastAddr);
-    std::int64_t max_stride = streamCfg_.maxStrideBytes;
-
-    if (delta == 0)
-        return obs; // Same element re-read; no state change.
-
-    if (e.stride == 0) {
-        // Learning: accept any small nonzero stride.
-        if (delta >= -max_stride && delta <= max_stride) {
-            e.stride = static_cast<std::int32_t>(delta);
-            e.streamHits = 1;
-            obs.streamHit = true;
-        } else {
-            e.lastAddr = addr;
-            return obs;
-        }
-        e.lastAddr = addr;
-        obs.confirmed = e.streamHits >= cfg_.streamThreshold;
-        return obs;
-    }
-
-    if (delta == e.stride) {
-        // Cap low enough that a stream-turned-random PC decays out of
-        // confirmed state quickly under the resync penalty.
-        if (e.streamHits < 64)
-            ++e.streamHits;
-        e.lastAddr = addr;
-        obs.streamHit = true;
-        obs.confirmed = e.streamHits >= cfg_.streamThreshold;
-        return obs;
-    }
-
-    // Discontinuity. §3.3.1: with PC resync the entry keeps its learnt
-    // stride and indirect pattern and just moves its position (the
-    // next outer-loop iteration); without it, the pattern re-learns
-    // from scratch. The hit count decays on every jump so that a PC
-    // making *random* accesses (which occasionally luck into a stride
-    // match) loses stream status, while genuine nested loops — several
-    // stride hits between jumps — stay confirmed.
-    if (cfg_.pcResync) {
-        e.lastAddr = addr;
-        e.streamHits = e.streamHits >= 2 ? e.streamHits - 2 : 0;
-        obs.resynced = true;
-        obs.confirmed = e.streamHits >= cfg_.streamThreshold;
-        if (obs.confirmed)
-            e.nextPrefetchLine = lineOf(addr) + 1;
-    } else {
-        e.lastAddr = addr;
-        e.stride = 0;
-        e.streamHits = 0;
-        e.indEnable = false;
-        e.indexValid = false;
-        if (e.nextWay != kNoEntry) {
-            release(e.nextWay);
-            e.nextWay = kNoEntry;
-        }
-        if (e.nextLevel != kNoEntry) {
-            release(e.nextLevel);
-            e.nextLevel = kNoEntry;
-        }
-    }
-    return obs;
-}
-
 std::int16_t
 PrefetchTable::allocSecondary(std::int16_t parent, IndType type)
 {

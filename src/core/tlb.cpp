@@ -151,13 +151,13 @@ Mmu::dtlbLookup(CoreId c, Addr vaddr)
 }
 
 void
-Mmu::translateMiss(CoreId c, Addr vaddr, TlbDoneFn done)
+Mmu::translateMiss(CoreId c, Addr vaddr, EventFn done)
 {
     missAccess(c, vaddr, true, std::move(done));
 }
 
 void
-Mmu::missAccess(CoreId c, Addr vaddr, bool demand, TlbDoneFn done)
+Mmu::missAccess(CoreId c, Addr vaddr, bool demand, EventFn done)
 {
     std::uint64_t vpn = vpnOf(vaddr);
     Tick now = eq_.now();
@@ -177,10 +177,7 @@ Mmu::missAccess(CoreId c, Addr vaddr, bool demand, TlbDoneFn done)
             stats_.stallCycles += ready - now;
         }
         dtlb_[c].insert(vpn);
-        eq_.schedule(ready,
-                     [done = std::move(done), ready]() mutable {
-                         done(ready);
-                     });
+        eq_.schedule(ready, std::move(done));
         return;
     }
     if (demand)
@@ -194,17 +191,17 @@ Mmu::missAccess(CoreId c, Addr vaddr, bool demand, TlbDoneFn done)
     pt_.walkPath(vaddr, w.path);
     w.waiters.push_back(Waiter{c, now, demand, std::move(done)});
     walks_.emplace(vpn, std::move(w));
-    eq_.schedule(ready, [this, vpn, ready] { issueNextPte(vpn, ready); });
+    eq_.schedule(ready, [this, vpn] { issueNextPte(vpn); });
 }
 
 void
-Mmu::issueNextPte(std::uint64_t vpn, Tick when)
+Mmu::issueNextPte(std::uint64_t vpn)
 {
     auto it = walks_.find(vpn);
     IMPSIM_CHECK(it != walks_.end(), "walk step without an entry");
     Walk &w = it->second;
     if (w.next == w.path.size()) {
-        finishWalk(vpn, when);
+        finishWalk(vpn);
         return;
     }
     Addr pte = w.path[w.next];
@@ -213,13 +210,13 @@ Mmu::issueNextPte(std::uint64_t vpn, Tick when)
     // Levels are serial: each PTE read's data yields the next level's
     // node pointer. No member access after walkAccess — the map may
     // move the entry once further walks start.
-    ports_[w.port]->walkAccess(
-        pte, TlbDoneFn([this, vpn](Tick t) { issueNextPte(vpn, t); }));
+    ports_[w.port]->walkAccess(pte, [this, vpn] { issueNextPte(vpn); });
 }
 
 void
-Mmu::finishWalk(std::uint64_t vpn, Tick when)
+Mmu::finishWalk(std::uint64_t vpn)
 {
+    Tick when = eq_.now();
     auto it = walks_.find(vpn);
     Walk w = std::move(it->second);
     walks_.erase(it);
@@ -232,11 +229,11 @@ Mmu::finishWalk(std::uint64_t vpn, Tick when)
             stats_.stallCycles += when - wt.enqueued;
     }
     for (auto &wt : w.waiters)
-        wt.done(when);
+        wt.done();
 }
 
 Mmu::PfGate
-Mmu::prefetchGate(CoreId c, Addr vaddr, TlbPfCross policy, TlbDoneFn done)
+Mmu::prefetchGate(CoreId c, Addr vaddr, TlbPfCross policy, EventFn done)
 {
     std::uint64_t vpn = vpnOf(vaddr);
     if (dtlb_[c].present(vpn)) {
@@ -266,10 +263,7 @@ Mmu::prefetchGate(CoreId c, Addr vaddr, TlbPfCross policy, TlbDoneFn done)
         }
         stats_.pfCrossTranslated += 1;
         dtlb_[c].insert(vpn);
-        eq_.schedule(ready,
-                     [done = std::move(done), ready]() mutable {
-                         done(ready);
-                     });
+        eq_.schedule(ready, std::move(done));
         return PfGate::Deferred;
     }
     }

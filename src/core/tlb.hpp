@@ -24,14 +24,10 @@
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
 #include "common/flat_map.hpp"
-#include "common/small_fn.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace impsim {
-
-/** Translation-ready continuation (fires once, at the ready tick). */
-using TlbDoneFn = SmallFn<void(Tick), 24>;
 
 /**
  * Cache-side port the page walker issues PTE reads through — one per
@@ -44,8 +40,9 @@ class TlbWalkPort
   public:
     virtual ~TlbWalkPort() = default;
 
-    /** Reads the PTE line holding @p addr; @p done fires at data-ready. */
-    virtual void walkAccess(Addr addr, TlbDoneFn done) = 0;
+    /** Reads the PTE line holding @p addr; @p done runs once, at
+     *  data-ready (MemPort::demandAccess's completion contract). */
+    virtual void walkAccess(Addr addr, EventFn done) = 0;
 };
 
 /** Set-associative, true-LRU, VPN-tagged TLB array. */
@@ -152,15 +149,15 @@ class Mmu
      * Demand-side miss path: arbitrates for the L2 TLB and walks on an
      * L2 miss, issuing PTE reads through core @p c's walk port.
      * Installs the translation (L2 TLB + the waiting cores' DTLBs) and
-     * fires @p done exactly once, at the ready tick.
+     * runs @p done exactly once, at the ready tick.
      */
-    void translateMiss(CoreId c, Addr vaddr, TlbDoneFn done);
+    void translateMiss(CoreId c, Addr vaddr, EventFn done);
 
     /** What the prefetch gate decided (docs/tlb.md). */
     enum class PfGate : std::uint8_t {
         Ready,    ///< Page resident in the DTLB: issue now.
         Dropped,  ///< Policy refused the prefetch.
-        Deferred, ///< Accepted; @p done fires when translated.
+        Deferred, ///< Accepted; @p done runs when translated.
     };
 
     /**
@@ -170,7 +167,7 @@ class Mmu
      * the result is Deferred.
      */
     PfGate prefetchGate(CoreId c, Addr vaddr, TlbPfCross policy,
-                        TlbDoneFn done);
+                        EventFn done);
 
     std::uint64_t vpnOf(Addr vaddr) const { return vaddr >> pageBits_; }
 
@@ -183,7 +180,7 @@ class Mmu
         CoreId core;
         Tick enqueued; ///< For demand-stall accounting.
         bool demand;
-        TlbDoneFn done;
+        EventFn done;
     };
 
     struct Walk
@@ -199,10 +196,11 @@ class Mmu
     Tick l2PortAccess();
 
     /** Shared L2-TLB + walk path (demand and stalled prefetches). */
-    void missAccess(CoreId c, Addr vaddr, bool demand, TlbDoneFn done);
+    void missAccess(CoreId c, Addr vaddr, bool demand, EventFn done);
 
-    void issueNextPte(std::uint64_t vpn, Tick when);
-    void finishWalk(std::uint64_t vpn, Tick when);
+    /** Next PTE read of @p vpn's walk, or its end, at now(). */
+    void issueNextPte(std::uint64_t vpn);
+    void finishWalk(std::uint64_t vpn);
 
     const TlbConfig &tcfg_;
     EventQueue &eq_;

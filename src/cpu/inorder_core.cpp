@@ -38,6 +38,7 @@ InOrderCore::advance()
         return;
     }
 
+    prefetchRecord(trace_, idx_);
     const MemAccess &a = trace_.accesses[idx_];
 
     if (a.hasBarrier() && !passedBarrier_) {
@@ -85,7 +86,7 @@ InOrderCore::issue()
         stats_.memAccesses += 1;
         stats_.stores += 1;
         ++storesOutstanding_;
-        port_.demandAccess(a, [this](Tick) {
+        port_.demandAccess(a, [this] {
             --storesOutstanding_;
             if (waitingStoreSlot_) {
                 waitingStoreSlot_ = false;
@@ -105,8 +106,8 @@ InOrderCore::issue()
     stats_.loads += 1;
     Tick issued = eq_.now();
     AccessType type = a.type;
-    port_.demandAccess(a, [this, issued, type](Tick done) {
-        Tick latency = done - issued;
+    port_.demandAccess(a, [this, issued, type] {
+        Tick latency = eq_.now() - issued;
         stats_.loadLatencySum += latency;
         stats_.loadLatencyCount += 1;
         if (latency > params_.l1HitCycles) {

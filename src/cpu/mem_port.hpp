@@ -9,22 +9,12 @@
 #define IMPSIM_CPU_MEM_PORT_HPP
 
 #include "common/access_type.hpp"
-#include "common/small_fn.hpp"
+#include "common/event_queue.hpp"
 #include "common/types.hpp"
 
 namespace impsim {
 
 struct MemAccess;
-
-/**
- * Completion callback: invoked at the tick the data is available.
- * Move-only; 24 inline bytes hold every core's completion capture
- * (the largest is a load's `this + issue tick + access type`), so
- * issuing a load never heap-allocates — and an L1 hit's completion
- * event (this callback + its tick) still fits the event queue's
- * 48-byte inline capture.
- */
-using DemandDoneFn = SmallFn<void(Tick), 24>;
 
 /** Abstract L1 port as seen by a core. */
 class MemPort
@@ -34,9 +24,13 @@ class MemPort
 
     /**
      * Issues a demand access at the current simulation tick.
-     * @p done fires exactly once, at completion time.
+     * @p done runs exactly once, at the tick the data is available,
+     * so the queue's now() inside it is the completion tick. On an L1
+     * hit the port schedules @p done itself as the completion event:
+     * a core's capture (24 bytes at most) goes straight into an
+     * event cell.
      */
-    virtual void demandAccess(const MemAccess &access, DemandDoneFn done) = 0;
+    virtual void demandAccess(const MemAccess &access, EventFn done) = 0;
 
     /**
      * Issues a non-binding software prefetch (never blocks, no

@@ -42,6 +42,7 @@ OoOCore::tryDispatch()
         return;
     }
 
+    prefetchRecord(trace_, idx_);
     const MemAccess &a = trace_.accesses[idx_];
 
     if (a.hasBarrier() && !passedBarrier_) {
@@ -140,7 +141,7 @@ OoOCore::doIssue()
         // Stores retire at issue (store buffer); the slot frees when
         // the write completes in the memory system.
         completion = now;
-        port_.demandAccess(a, [this](Tick) {
+        port_.demandAccess(a, [this] {
             --storesOutstanding_;
             tryDispatch();
         });
@@ -153,7 +154,8 @@ OoOCore::doIssue()
     // The slot may hold a retired entry's tick from a lap ago. It is
     // not reused before this load retires, which needs it completed.
     completion = kNoTick;
-    port_.demandAccess(a, [this, entry, now](Tick done) {
+    port_.demandAccess(a, [this, entry, now] {
+        Tick done = eq_.now();
         --loadsOutstanding_;
         stats_.loadLatencySum += done - now;
         stats_.loadLatencyCount += 1;

@@ -11,6 +11,7 @@
 #ifndef IMPSIM_CPU_TRACE_HPP
 #define IMPSIM_CPU_TRACE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +57,21 @@ struct CoreTrace
     /** Number of barrier crossings encoded in this trace. */
     std::uint64_t barrierCount() const;
 };
+
+/**
+ * Starts loading the record 8 past @p idx, if @p trace has one. A
+ * core reads its trace front to back, one record per memory
+ * instruction, and the test of each record's flags is otherwise the
+ * in-order core's hottest load: the trace is far larger than any
+ * cache, so a record read on demand waits for memory.
+ */
+inline void
+prefetchRecord(const CoreTrace &trace, std::size_t idx)
+{
+    constexpr std::size_t kAhead = 8;
+    if (idx + kAhead < trace.accesses.size())
+        __builtin_prefetch(&trace.accesses[idx + kAhead]);
+}
 
 } // namespace impsim
 

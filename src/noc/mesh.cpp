@@ -16,12 +16,10 @@ MeshNoc::MeshNoc(std::uint32_t dim, std::uint32_t hop_cycles,
       links_(std::size_t{dim} * dim * 4, 1.0 /* flit per cycle */)
 {
     IMPSIM_CHECK(dim_ > 0, "mesh dimension must be positive");
-}
-
-MeshCoord
-MeshNoc::coordOf(CoreId tile) const
-{
-    return MeshCoord{tile % dim_, tile / dim_};
+    coords_.reserve(std::size_t{dim_} * dim_);
+    for (std::uint32_t y = 0; y < dim_; ++y)
+        for (std::uint32_t x = 0; x < dim_; ++x)
+            coords_.push_back(MeshCoord{x, y});
 }
 
 CoreId
@@ -109,13 +107,6 @@ MeshNoc::sendUncontended(CoreId src, CoreId dst,
     std::uint32_t flits = flitsFor(payload_bytes);
     std::uint32_t hops = hopCount(src, dst);
     return when + Tick{hops} * hopCycles_ + (flits - 1);
-}
-
-void
-MeshNoc::reset()
-{
-    links_.reset();
-    stats_ = NocStats{};
 }
 
 } // namespace impsim

@@ -53,7 +53,7 @@ class MeshNoc
     std::uint32_t dim() const { return dim_; }
 
     /** Coordinate of @p tile. */
-    MeshCoord coordOf(CoreId tile) const;
+    MeshCoord coordOf(CoreId tile) const { return coords_[tile]; }
 
     /** Tile id at @p c. */
     CoreId tileAt(MeshCoord c) const;
@@ -86,9 +86,6 @@ class MeshNoc
     NocStats &stats() { return stats_; }
     const NocStats &stats() const { return stats_; }
 
-    /** Resets link occupancy and statistics. */
-    void reset();
-
   private:
     /** Output directions per router. */
     enum Dir : std::uint32_t { East = 0, West = 1, North = 2, South = 3 };
@@ -100,6 +97,9 @@ class MeshNoc
     std::uint32_t hopCycles_;
     std::uint32_t flitBytes_;
     std::uint32_t headerFlits_;
+    /** coordOf() by tile: send() needs both ends' coordinates, and a
+     *  table load is cheaper than the two divisions per tile. */
+    std::vector<MeshCoord> coords_;
     /** 1 flit/cycle of capacity per directed link, one shared ring. */
     BandwidthArray links_;
     NocStats stats_;

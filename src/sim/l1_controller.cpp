@@ -127,16 +127,15 @@ L1Controller::applyWrite(Addr addr, std::uint32_t size)
 }
 
 void
-L1Controller::finishDemand(const MemAccess &access, DemandDoneFn &done,
-                           Tick when)
+L1Controller::finishDemand(const MemAccess &access, EventFn &done)
 {
     if (access.isWrite())
         applyWrite(access.addr, access.size);
-    done(when);
+    done();
 }
 
 void
-L1Controller::demandAccess(const MemAccess &access, DemandDoneFn done)
+L1Controller::demandAccess(const MemAccess &access, EventFn done)
 {
     // Counted here, outside the re-enterable body: retried and
     // replayed demands pass through demandAccessImpl again but are
@@ -151,30 +150,27 @@ L1Controller::demandAccess(const MemAccess &access, DemandDoneFn done)
 
 IMPSIM_NOINLINE void
 L1Controller::demandAccessTlbMiss(const MemAccess &access,
-                                  DemandDoneFn done)
+                                  EventFn done)
 {
     // DTLB miss: the access (and its prefetcher notification) waits
     // for the translation, then runs at the ready tick. Kept out of
     // line so the continuation capture stays off demandAccess's
     // frame — TLB-off runs take that path tens of millions of times.
-    mmu_->translateMiss(
-        core_, access.addr,
-        TlbDoneFn([this, access, done = std::move(done)](Tick) mutable {
-            demandAccessImpl(access, std::move(done));
-        }));
+    mmu_->translateMiss(core_, access.addr,
+                        [this, access, done = std::move(done)]() mutable {
+                            demandAccessImpl(access, std::move(done));
+                        });
 }
 
 void
-L1Controller::demandAccessImpl(const MemAccess &access, DemandDoneFn done,
+L1Controller::demandAccessImpl(const MemAccess &access, EventFn &&done,
                                bool notify)
 {
     AccessType type = access.type;
 
     if (cfg_.magicMemory) {
         stats_.hits += 1;
-        Tick when = eq_.now() + cfg_.l1LatencyCycles;
-        eq_.schedule(when,
-                     [done = std::move(done), when] { done(when); });
+        eq_.scheduleAfter(cfg_.l1LatencyCycles, std::move(done));
         return;
     }
     if (cfg_.perfectMemory) {
@@ -207,9 +203,7 @@ L1Controller::demandAccessImpl(const MemAccess &access, DemandDoneFn done,
             applyWrite(access.addr, access.size);
         if (notify)
             notifyAccess(info);
-        Tick when = eq_.now() + cfg_.l1LatencyCycles;
-        eq_.schedule(when,
-                     [done = std::move(done), when] { done(when); });
+        eq_.scheduleAfter(cfg_.l1LatencyCycles, std::move(done));
         return;
     }
 
@@ -277,7 +271,7 @@ L1Controller::demandAccessImpl(const MemAccess &access, DemandDoneFn done,
 }
 
 void
-L1Controller::perfectAccess(const MemAccess &access, DemandDoneFn done)
+L1Controller::perfectAccess(const MemAccess &access, EventFn &&done)
 {
     // PerfPref (§5.4): an oracle issued this access's line "several
     // thousand cycles" early, so the demand sees L1-hit latency unless
@@ -316,15 +310,13 @@ L1Controller::perfectAccess(const MemAccess &access, DemandDoneFn done)
         // Ensure the write lands once the line is resident.
         Addr a = access.addr;
         std::uint8_t sz = access.size;
-        eq_.schedule(ready, [this, a, sz, done = std::move(done),
-                             ready] {
+        eq_.schedule(ready, [this, a, sz, done = std::move(done)] {
             applyWrite(a, sz);
-            done(ready);
+            done();
         });
         return;
     }
-    eq_.schedule(ready,
-                 [done = std::move(done), ready] { done(ready); });
+    eq_.schedule(ready, std::move(done));
 }
 
 void
@@ -359,9 +351,9 @@ L1Controller::issuePrefetchGated(const PrefetchRequest &req)
     // path at translation-ready and is dropped silently there if
     // the line arrived some other way in the meantime.
     TlbPfCross policy = cfg_.tlb.resolveCross(req.cross);
-    Mmu::PfGate gate = mmu_->prefetchGate(
-        core_, req.addr, policy,
-        TlbDoneFn([this, req](Tick) { issuePrefetchNow(req); }));
+    Mmu::PfGate gate =
+        mmu_->prefetchGate(core_, req.addr, policy,
+                           [this, req] { issuePrefetchNow(req); });
     if (gate == Mmu::PfGate::Dropped)
         return false;
     if (gate == Mmu::PfGate::Deferred)
@@ -492,7 +484,7 @@ L1Controller::completeFill(Addr line_addr)
     }
 
     for (auto &w : pf.waiters)
-        finishDemand(w.access, w.done, now);
+        finishDemand(w.access, w.done);
 
     if (pf.isPrefetch && prefetcher_ && !pf.invalidated)
         prefetcher_->onPrefetchFill(line_addr, pf.patternId);
@@ -527,7 +519,7 @@ L1Controller::evictFrame(CacheLine &frame)
 }
 
 void
-L1Controller::walkAccess(Addr addr, TlbDoneFn done)
+L1Controller::walkAccess(Addr addr, EventFn done)
 {
     // A page walker's PTE read: real traffic through the normal
     // L1 -> home L2 -> DRAM path, but architecturally invisible — it
@@ -539,11 +531,7 @@ L1Controller::walkAccess(Addr addr, TlbDoneFn done)
     CacheLine *line = cache_.find(line_addr);
     if (line != nullptr && (line->validMask & need) == need) {
         cache_.touch(*line);
-        Tick when = eq_.now() + cfg_.l1LatencyCycles;
-        eq_.schedule(when,
-                     [done = std::move(done), when]() mutable {
-                         done(when);
-                     });
+        eq_.scheduleAfter(cfg_.l1LatencyCycles, std::move(done));
         return;
     }
 

@@ -57,7 +57,7 @@ class L1Controller final : public MemPort,
     const CacheStats &stats() const { return stats_; }
 
     // ---- MemPort ----
-    void demandAccess(const MemAccess &access, DemandDoneFn done) override;
+    void demandAccess(const MemAccess &access, EventFn done) override;
     void softwarePrefetch(Addr addr, std::uint32_t pc) override;
 
     // ---- PrefetchHost ----
@@ -71,13 +71,13 @@ class L1Controller final : public MemPort,
     std::uint32_t downgrade(Addr line_addr) override;
 
     // ---- TlbWalkPort ----
-    void walkAccess(Addr addr, TlbDoneFn done) override;
+    void walkAccess(Addr addr, EventFn done) override;
 
   private:
     struct Waiter
     {
         MemAccess access;
-        DemandDoneFn done;
+        EventFn done;
     };
 
     struct PendingFill
@@ -96,12 +96,16 @@ class L1Controller final : public MemPort,
     /**
      * demandAccess body, re-entered by retries and replays: everything
      * counted once per architectural access lives in demandAccess.
+     * Takes @p done by reference, like perfectAccess: the core has just
+     * written its capture, and copying those bytes this soon stalls on
+     * store forwarding. Its one move, into an event cell or a waiter,
+     * comes after the lookup.
      * @param notify whether this pass may notify the prefetchers —
      *        false for replays whose first pass already observed the
      *        access (retries pass true: their first pass stayed
      *        silent)
      */
-    void demandAccessImpl(const MemAccess &access, DemandDoneFn done,
+    void demandAccessImpl(const MemAccess &access, EventFn &&done,
                           bool notify = true);
 
     /** Requested-sector mask for an access, clipped to its line. */
@@ -128,14 +132,13 @@ class L1Controller final : public MemPort,
     /** issuePrefetch body, after the TLB page-crossing gate. */
     bool issuePrefetchNow(const PrefetchRequest &req);
     /** DTLB-miss continuation (cold: only when the MMU is on). */
-    void demandAccessTlbMiss(const MemAccess &access, DemandDoneFn done);
+    void demandAccessTlbMiss(const MemAccess &access, EventFn done);
 
     void completeFill(Addr line_addr);
-    void perfectAccess(const MemAccess &access, DemandDoneFn done);
+    void perfectAccess(const MemAccess &access, EventFn &&done);
     void evictFrame(CacheLine &frame);
     void applyWrite(Addr addr, std::uint32_t size);
-    void finishDemand(const MemAccess &access, DemandDoneFn &done,
-                      Tick when);
+    void finishDemand(const MemAccess &access, EventFn &done);
 
     /**
      * The engine's concrete type, resolved once at attach so the

@@ -4,6 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "common/bandwidth.hpp"
 
 namespace impsim {
@@ -67,15 +72,6 @@ TEST(Bandwidth, FractionalCapacity)
     EXPECT_GE(g.start, 32u);
 }
 
-TEST(Bandwidth, ResetClearsOccupancy)
-{
-    BucketedBandwidth bw(1.0, 32);
-    bw.claim(0, 32);
-    bw.reset();
-    BwGrant g = bw.claim(0, 8);
-    EXPECT_EQ(g.queueDelay, 0u);
-}
-
 TEST(Bandwidth, StaleSlotsRecycleWithoutGhostTraffic)
 {
     BucketedBandwidth bw(1.0, 4, 8); // Tiny ring: horizon 32 cycles.
@@ -84,6 +80,152 @@ TEST(Bandwidth, StaleSlotsRecycleWithoutGhostTraffic)
     BwGrant g = bw.claim(32, 4);
     EXPECT_EQ(g.start, 32u);
 }
+
+/**
+ * The resource-major layout BandwidthArray replaced, kept as the
+ * reference: one independent ring per resource, claimed with the same
+ * rules, written with plain division and modulo. It also counts which
+ * rules a claim sequence exercised.
+ */
+class ReferenceRing
+{
+  public:
+    ReferenceRing(double units_per_cycle, std::uint32_t bucket_cycles,
+                  std::uint32_t slots)
+        : bucketCycles_(bucket_cycles), slots_(slots),
+          capacity_(std::max<std::uint64_t>(
+              1, static_cast<std::uint64_t>(units_per_cycle *
+                                            bucket_cycles))),
+          tags_(slots, ~std::uint64_t{0}), used_(slots, 0)
+    {}
+
+    BwGrant
+    claim(Tick t, std::uint64_t units)
+    {
+        BwGrant g;
+        std::uint64_t remaining = units;
+        std::uint64_t bucket = t / bucketCycles_;
+        std::uint64_t limit = bucket + 16 * slots_;
+        bool first = true;
+        int buckets = 0;
+        while (remaining > 0) {
+            std::size_t at = bucket % slots_;
+            if (tags_[at] != bucket) {
+                if (tags_[at] != ~std::uint64_t{0})
+                    ++recycled;
+                tags_[at] = bucket;
+                used_[at] = 0;
+            }
+            std::uint64_t spare =
+                capacity_ > used_[at] ? capacity_ - used_[at] : 0;
+            ++buckets;
+            if (spare == 0 && bucket < limit) {
+                ++bucket;
+                continue;
+            }
+            std::uint64_t take = std::min(spare, remaining);
+            if (bucket >= limit) {
+                take = remaining;
+                ++forced;
+            }
+            used_[at] += take;
+            remaining -= take;
+            Tick start = bucket * bucketCycles_;
+            if (first) {
+                g.start = std::max<Tick>(t, start);
+                first = false;
+            }
+            g.finish = std::max<Tick>(g.start, start);
+            if (remaining > 0)
+                ++bucket;
+        }
+        g.queueDelay = g.start - t;
+        if (buckets > 1)
+            ++multiBucket;
+        return g;
+    }
+
+    std::uint64_t recycled = 0;    ///< Stale slots reused.
+    std::uint64_t forced = 0;      ///< Grants past the horizon.
+    std::uint64_t multiBucket = 0; ///< Claims that searched on.
+
+  private:
+    std::uint64_t bucketCycles_;
+    std::uint64_t slots_;
+    std::uint64_t capacity_;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> used_;
+};
+
+/** Resources, and ring geometry: the NoC's, and a tiny ring. */
+struct LayoutCase
+{
+    std::size_t count;
+    std::uint32_t bucketCycles;
+    std::uint32_t slots;
+};
+
+class RingLayout : public ::testing::TestWithParam<LayoutCase>
+{};
+
+TEST_P(RingLayout, GrantsMatchOneRingPerResource)
+{
+    const LayoutCase lc = GetParam();
+    BandwidthArray array(lc.count, 1.0, lc.bucketCycles, lc.slots);
+    std::vector<ReferenceRing> ref(
+        lc.count, ReferenceRing(1.0, lc.bucketCycles, lc.slots));
+
+    const Tick horizon = Tick{lc.bucketCycles} * lc.slots;
+    std::mt19937_64 rng(0x5eed + lc.count + lc.slots);
+    // A few hot resources saturate and queue past the forced-through
+    // horizon; the rest see light traffic.
+    std::size_t hot = std::min<std::size_t>(lc.count, 3);
+    Tick now = 0;
+    for (int i = 0; i < 60000; ++i) {
+        now += rng() % 4;
+        std::size_t res = rng() % 4 == 0 ? rng() % hot : rng() % lc.count;
+        Tick t = now;
+        switch (rng() % 8) {
+        case 0: // Far future: lands on a slot of an older lap.
+            t += horizon + rng() % (4 * horizon);
+            break;
+        case 1: // Late: behind windows the ring already reused.
+            t = now > 2 * horizon ? now - horizon - rng() % horizon : 0;
+            break;
+        default:
+            t += rng() % 64;
+            break;
+        }
+        std::uint64_t units = rng() % 8 == 0 ? 16 + rng() % 200
+                                             : 1 + rng() % 9;
+        // Only a claim longer than 16 laps of the ring can reach the
+        // forced-through horizon: a shorter search always finds a
+        // recycled, empty slot first.
+        if (rng() % 64 == 0)
+            units = 16 * horizon + rng() % horizon;
+        BwGrant want = ref[res].claim(t, units);
+        BwGrant got = array.claim(res, t, units);
+        ASSERT_EQ(got.start, want.start) << "claim " << i;
+        ASSERT_EQ(got.finish, want.finish) << "claim " << i;
+        ASSERT_EQ(got.queueDelay, want.queueDelay) << "claim " << i;
+    }
+    std::uint64_t recycled = 0, forced = 0, multi = 0;
+    for (const ReferenceRing &r : ref) {
+        recycled += r.recycled;
+        forced += r.forced;
+        multi += r.multiBucket;
+    }
+    EXPECT_GT(multi, 0u) << "no claim took the multi-bucket path";
+    EXPECT_GT(recycled, 0u) << "the ring never wrapped";
+    EXPECT_GT(forced, 0u) << "no grant was forced through";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Counts, RingLayout,
+    ::testing::Values(LayoutCase{1, 32, 512}, LayoutCase{36, 32, 512},
+                      LayoutCase{64, 32, 512}, LayoutCase{1024, 32, 512},
+                      LayoutCase{1, 4, 8}, LayoutCase{36, 4, 8},
+                      LayoutCase{64, 4, 8}, LayoutCase{1024, 4, 8}));
 
 /** Property sweep: total throughput never exceeds capacity. */
 class BwSweep : public ::testing::TestWithParam<int>

@@ -33,7 +33,7 @@ class FakePort final : public MemPort
     std::uint32_t maxInflight = 0;
 
     void
-    demandAccess(const MemAccess &access, DemandDoneFn done) override
+    demandAccess(const MemAccess &access, EventFn done) override
     {
         ++demands;
         ++inflight;
@@ -42,10 +42,9 @@ class FakePort final : public MemPort
         if (auto it = latencyByPc.find(access.pc);
             it != latencyByPc.end())
             lat = it->second;
-        Tick when = eq_.now() + lat;
-        eq_.schedule(when, [this, done = std::move(done), when] {
+        eq_.schedule(eq_.now() + lat, [this, done = std::move(done)] {
             --inflight;
-            done(when);
+            done();
         });
     }
 

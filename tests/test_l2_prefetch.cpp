@@ -256,7 +256,7 @@ TEST(L1Notify, RetriedDemandNotifiesOncePerArchitecturalAccess)
     peek.addr = 0x100000;
     peek.pc = 9;
     peek.size = 8;
-    hier.l1(1).demandAccess(peek, [](Tick) {});
+    hier.l1(1).demandAccess(peek, [] {});
     eq.run();
 
     MemAccess load;
@@ -264,14 +264,14 @@ TEST(L1Notify, RetriedDemandNotifiesOncePerArchitecturalAccess)
     load.pc = 1;
     load.size = 8;
     int done = 0;
-    hier.l1(0).demandAccess(load, [&](Tick) { ++done; });
+    hier.l1(0).demandAccess(load, [&] { ++done; });
 
     // Same line, write, while the read fill is still in flight: the
     // pending fill cannot satisfy it (no exclusivity) -> retry.
     MemAccess store = load;
     store.pc = 2;
     store.flags = kFlagWrite;
-    hier.l1(0).demandAccess(store, [&](Tick) { ++done; });
+    hier.l1(0).demandAccess(store, [&] { ++done; });
 
     eq.run();
     EXPECT_EQ(done, 2);
@@ -301,10 +301,10 @@ TEST(L1Notify, UpgradeOnlyPrefetchIsNotAnIssuedPrefetch)
     load.addr = 0x200000;
     load.pc = 1;
     load.size = 8;
-    hier.l1(0).demandAccess(load, [](Tick) {});
+    hier.l1(0).demandAccess(load, [] {});
     // Another core reads the line so core 0 is downgraded to S.
     MemAccess peek = load;
-    hier.l1(1).demandAccess(peek, [](Tick) {});
+    hier.l1(1).demandAccess(peek, [] {});
     eq.run();
 
     ASSERT_TRUE(hier.l1(0).linePresent(0x200000));

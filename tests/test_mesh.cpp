@@ -94,16 +94,6 @@ TEST(Mesh, TrafficAccounting)
     EXPECT_EQ(noc.stats().bytes, 72u);
 }
 
-TEST(Mesh, ResetClearsEverything)
-{
-    MeshNoc noc(4, 2, 8, 1);
-    noc.send(0, 15, 64, 0);
-    noc.reset();
-    EXPECT_EQ(noc.stats().messages, 0u);
-    EXPECT_EQ(noc.send(0, 15, 64, 0),
-              noc.sendUncontended(0, 15, 64, 0));
-}
-
 /** Property: latency is monotone in distance on an idle mesh. */
 class MeshDistanceSweep : public ::testing::TestWithParam<std::uint32_t>
 {};

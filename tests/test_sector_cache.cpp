@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/sector_cache.hpp"
 
 namespace impsim {
@@ -118,6 +121,85 @@ TEST_F(SectorCacheTest, NoDuplicateTagsInSet)
             ++found;
     });
     EXPECT_EQ(found, 1);
+}
+
+TEST_F(SectorCacheTest, FindNeverReturnsAnInvalidatedFrame)
+{
+    // find() compares tags only; invalid frames must hold a tag no
+    // lookup can match, fresh or invalidated, and keep it while the
+    // rest of the set refills around them.
+    const Addr set0[] = {0x0000, 0x0400, 0x0800, 0x0c00, 0x1000, 0x1400};
+    EXPECT_EQ(cache_.find(set0[0]), nullptr) << "fresh frames";
+    EXPECT_EQ(cache_.find(kNoAddr), nullptr);
+    for (int i = 0; i < 4; ++i) {
+        CacheLine *v = cache_.victim(set0[i]);
+        cache_.fill(*v, set0[i], CState::S, 0xff, false);
+    }
+    cache_.invalidate(*cache_.find(set0[1]));
+    cache_.invalidate(*cache_.find(set0[3]));
+    EXPECT_EQ(cache_.find(set0[1]), nullptr);
+    EXPECT_EQ(cache_.find(set0[3]), nullptr);
+    EXPECT_EQ(cache_.find(kNoAddr), nullptr);
+
+    // Refills take the invalid frames; the invalidated tags stay gone.
+    for (int i = 4; i < 6; ++i) {
+        CacheLine *v = cache_.victim(set0[i]);
+        EXPECT_FALSE(v->valid());
+        cache_.fill(*v, set0[i], CState::E, 0x0f, false);
+    }
+    for (int i : {0, 2, 4, 5}) {
+        const CacheLine *l = cache_.find(set0[i]);
+        ASSERT_NE(l, nullptr);
+        EXPECT_TRUE(l->valid());
+        EXPECT_EQ(l->lineAddr, set0[i]);
+    }
+    EXPECT_EQ(cache_.find(set0[1]), nullptr);
+    EXPECT_EQ(cache_.find(set0[3]), nullptr);
+
+    // An LRU eviction then a refill of the evicted line's own tag.
+    CacheLine *lru = cache_.victim(set0[1]);
+    Addr evicted = lru->lineAddr;
+    cache_.invalidate(*lru);
+    EXPECT_EQ(cache_.find(evicted), nullptr);
+    cache_.fill(*lru, set0[1], CState::S, 0xff, false);
+    EXPECT_EQ(cache_.find(evicted), nullptr);
+    EXPECT_EQ(cache_.find(set0[1]), lru);
+}
+
+TEST(SectorCacheProperty, FindMatchesAReferenceSetOfResidentLines)
+{
+    SectorCache cache(2048, 4, kLineSize); // 8 sets.
+    std::vector<Addr> resident;
+    std::uint64_t x = 42;
+    auto next = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return x >> 33;
+    };
+    for (int i = 0; i < 20000; ++i) {
+        Addr line = (next() % 96) * kLineSize; // 12 lines per set.
+        CacheLine *hit = cache.find(line);
+        bool in_ref = std::find(resident.begin(), resident.end(), line) !=
+                      resident.end();
+        ASSERT_EQ(hit != nullptr, in_ref) << "step " << i;
+        if (hit != nullptr) {
+            ASSERT_TRUE(hit->valid());
+            ASSERT_EQ(hit->lineAddr, line);
+            if (next() % 3 == 0) {
+                cache.invalidate(*hit);
+                resident.erase(
+                    std::find(resident.begin(), resident.end(), line));
+            }
+            continue;
+        }
+        CacheLine *v = cache.victim(line);
+        if (v->valid()) {
+            resident.erase(std::find(resident.begin(), resident.end(),
+                                     v->lineAddr));
+            cache.invalidate(*v);
+        }
+        cache.fill(*v, line, CState::S, 1, false);
+        resident.push_back(line);
+    }
 }
 
 /** Parameterised: geometry invariants across sector sizes. */

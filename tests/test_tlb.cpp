@@ -151,13 +151,10 @@ struct StubPort : TlbWalkPort
     std::vector<Addr> reads;
 
     void
-    walkAccess(Addr addr, TlbDoneFn done) override
+    walkAccess(Addr addr, EventFn done) override
     {
         reads.push_back(addr);
-        Tick ready = eq->now() + latency;
-        eq->schedule(ready, [done = std::move(done), ready]() mutable {
-            done(ready);
-        });
+        eq->schedule(eq->now() + latency, std::move(done));
     }
 };
 
@@ -184,7 +181,7 @@ TEST(Mmu, DemandMissWalksOncePerLevelThenHits)
     const Addr a = Addr{1} << 30;
     EXPECT_FALSE(f.mmu->dtlbLookup(0, a));
     Tick done_at = 0;
-    f.mmu->translateMiss(0, a, TlbDoneFn([&](Tick t) { done_at = t; }));
+    f.mmu->translateMiss(0, a, [&] { done_at = f.eq.now(); });
     EXPECT_TRUE(f.eq.run());
 
     const TlbStats &s = f.mmu->stats();
@@ -203,7 +200,7 @@ TEST(Mmu, DemandMissWalksOncePerLevelThenHits)
     EXPECT_TRUE(f.mmu->dtlbLookup(0, a));
     // ...and in the shared L2 TLB for the other core.
     EXPECT_FALSE(f.mmu->dtlbLookup(1, a));
-    f.mmu->translateMiss(1, a, TlbDoneFn([](Tick) {}));
+    f.mmu->translateMiss(1, a, [] {});
     EXPECT_TRUE(f.eq.run());
     EXPECT_EQ(f.mmu->stats().l2Hits, 1u);
     EXPECT_EQ(f.mmu->stats().walks, 1u); // No second walk.
@@ -216,8 +213,8 @@ TEST(Mmu, ConcurrentMissesOnOnePageCoalesceIntoOneWalk)
     int fired = 0;
     f.mmu->dtlbLookup(0, a);
     f.mmu->dtlbLookup(1, a + 8);
-    f.mmu->translateMiss(0, a, TlbDoneFn([&](Tick) { ++fired; }));
-    f.mmu->translateMiss(1, a + 8, TlbDoneFn([&](Tick) { ++fired; }));
+    f.mmu->translateMiss(0, a, [&] { ++fired; });
+    f.mmu->translateMiss(1, a + 8, [&] { ++fired; });
     EXPECT_TRUE(f.eq.run());
 
     const TlbStats &s = f.mmu->stats();
@@ -236,11 +233,11 @@ TEST(Mmu, PrefetchGateSamePageIsFree)
     MmuFixture f;
     const Addr a = Addr{1} << 30;
     f.mmu->dtlbLookup(0, a);
-    f.mmu->translateMiss(0, a, TlbDoneFn([](Tick) {}));
+    f.mmu->translateMiss(0, a, [] {});
     EXPECT_TRUE(f.eq.run());
 
     auto g = f.mmu->prefetchGate(0, a + 64, TlbPfCross::Drop,
-                                 TlbDoneFn([](Tick) {}));
+                                 [] {});
     EXPECT_EQ(g, Mmu::PfGate::Ready);
     EXPECT_EQ(f.mmu->stats().pfSamePage, 1u);
 }
@@ -249,7 +246,7 @@ TEST(Mmu, PrefetchGateDropRefusesPageCrossers)
 {
     MmuFixture f;
     auto g = f.mmu->prefetchGate(0, Addr{1} << 31, TlbPfCross::Drop,
-                                 TlbDoneFn([](Tick) {}));
+                                 [] {});
     EXPECT_EQ(g, Mmu::PfGate::Dropped);
     EXPECT_EQ(f.mmu->stats().pfCrossDropped, 1u);
     EXPECT_EQ(f.mmu->stats().walks, 0u);
@@ -260,7 +257,7 @@ TEST(Mmu, PrefetchGateStallWalksThenFires)
     MmuFixture f;
     Tick done_at = 0;
     auto g = f.mmu->prefetchGate(0, Addr{1} << 31, TlbPfCross::Stall,
-                                 TlbDoneFn([&](Tick t) { done_at = t; }));
+                                 [&] { done_at = f.eq.now(); });
     EXPECT_EQ(g, Mmu::PfGate::Deferred);
     EXPECT_TRUE(f.eq.run());
     EXPECT_GT(done_at, 0u);
@@ -278,17 +275,17 @@ TEST(Mmu, PrefetchGateTranslateIsOpportunistic)
     const Addr a = Addr{1} << 30;
     // Not in the L2 TLB: translate must drop, not walk.
     auto g = f.mmu->prefetchGate(0, a, TlbPfCross::Translate,
-                                 TlbDoneFn([](Tick) {}));
+                                 [] {});
     EXPECT_EQ(g, Mmu::PfGate::Dropped);
     EXPECT_EQ(f.mmu->stats().pfTranslateDropped, 1u);
     EXPECT_EQ(f.mmu->stats().walks, 0u);
 
     // Warm the L2 TLB through core 1, then translate succeeds.
-    f.mmu->translateMiss(1, a, TlbDoneFn([](Tick) {}));
+    f.mmu->translateMiss(1, a, [] {});
     EXPECT_TRUE(f.eq.run());
     Tick done_at = 0;
     g = f.mmu->prefetchGate(0, a, TlbPfCross::Translate,
-                            TlbDoneFn([&](Tick t) { done_at = t; }));
+                            [&] { done_at = f.eq.now(); });
     EXPECT_EQ(g, Mmu::PfGate::Deferred);
     EXPECT_TRUE(f.eq.run());
     EXPECT_EQ(f.mmu->stats().pfCrossTranslated, 1u);

@@ -8,7 +8,8 @@
  *
  * IMPSIM_BENCH_SCALE shrinks inputs (0.05 is a good smoke value; it
  * is the --scale override of a config grid), and IMPSIM_BENCH_JOBS
- * caps the SweepRunner workers (default: hardware concurrency).
+ * caps simulateRuns()' worker threads (default: hardware
+ * concurrency).
  */
 #ifndef IMPSIM_BENCH_HARNESS_HPP
 #define IMPSIM_BENCH_HARNESS_HPP

@@ -365,7 +365,7 @@ main(int argc, char **argv)
         return recordFlagTrace(exp, recordTracePath);
 
     // One run prints the full report (unless --csv), several fan out
-    // over the SweepRunner and print CSV — in runExperiment(), the
+    // over worker threads and print CSV — in runExperiment(), the
     // exact code the job server runs, which is what makes `--submit`
     // bit-identical.
     ExperimentRunOptions opt;

@@ -108,24 +108,17 @@ Directory::onGetX(Addr line, CoreId req)
       case DirState::Shared:
         if (e.broadcast) {
             act.broadcastInvalidate = true;
-            // The requester may itself be a (counted) sharer; ACKwise
-            // still expects one ack per sharer, the requester's own
-            // arriving locally.
-            act.acks = e.sharerCount;
         } else {
             for (std::uint32_t i = 0; i < maxPointers_; ++i) {
                 std::uint16_t c = e.pointers[i];
                 if (c != DirEntry::kNone && c != req)
                     act.invalidate.push_back(c);
             }
-            act.acks = static_cast<std::uint32_t>(act.invalidate.size());
         }
         break;
       case DirState::Exclusive:
-        if (e.owner != req) {
+        if (e.owner != req)
             act.downgrade = e.owner; // Fetch dirty data + invalidate.
-            act.acks = 1;
-        }
         break;
     }
     e.state = DirState::Exclusive;
@@ -171,38 +164,6 @@ Directory::onEvict(Addr line, CoreId core)
         break;
     }
     dropEntryIfIdle(line);
-}
-
-DirAction
-Directory::onL2Evict(Addr line)
-{
-    DirAction act;
-    auto it = entries_.find(lineAlign(line));
-    if (it == entries_.end())
-        return act;
-    DirEntry &e = it->second;
-    switch (e.state) {
-      case DirState::Uncached:
-        break;
-      case DirState::Shared:
-        if (e.broadcast) {
-            act.broadcastInvalidate = true;
-            act.acks = e.sharerCount;
-        } else {
-            for (std::uint32_t i = 0; i < maxPointers_; ++i) {
-                if (e.pointers[i] != DirEntry::kNone)
-                    act.invalidate.push_back(e.pointers[i]);
-            }
-            act.acks = static_cast<std::uint32_t>(act.invalidate.size());
-        }
-        break;
-      case DirState::Exclusive:
-        act.downgrade = e.owner;
-        act.acks = 1;
-        break;
-    }
-    entries_.erase(it);
-    return act;
 }
 
 DirEntry

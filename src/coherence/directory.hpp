@@ -62,8 +62,6 @@ struct DirAction
     std::vector<CoreId> invalidate;
     /** True: invalidate by broadcast to all cores except requester. */
     bool broadcastInvalidate = false;
-    /** Acks the controller must collect before granting. */
-    std::uint32_t acks = 0;
 };
 
 /**
@@ -92,12 +90,6 @@ class Directory
      * job; this only updates sharing state.
      */
     void onEvict(Addr line, CoreId core);
-
-    /**
-     * The L2 slice evicted the line: the entry is dropped and the
-     * caller must back-invalidate the returned sharers.
-     */
-    DirAction onL2Evict(Addr line);
 
     /** Current entry (read-only inspection; Uncached default). */
     DirEntry peek(Addr line) const;

@@ -66,7 +66,8 @@ class BandwidthArray
      *                        shift/mask there is measurably cheaper
      *                        than div/mod.
      * @param slots           ring size per resource (power of two);
-     *                        horizon = slots*bucket_cycles
+     *                        horizon = slots*bucket_cycles, the
+     *                        farthest a claim searches ahead
      */
     BandwidthArray(std::size_t count, double units_per_cycle,
                    std::uint32_t bucket_cycles = 32,
@@ -146,10 +147,12 @@ class BandwidthArray
         std::uint64_t remaining = units;
         std::uint64_t bucket = t >> bucketShift_;
         bool first = true;
-        // Saturated systems could search forever; beyond this horizon
-        // the grant is forced through (results are already dominated
-        // by queueing and remain deterministic).
-        std::uint64_t limit = bucket + 16 * slots_;
+        // The search stays within one lap of the ring: window
+        // bucket + slots_ would land on this claim's own first slot
+        // and erase its record. A saturated resource's remainder is
+        // forced through at the lap's last window instead (results
+        // are already dominated by queueing and remain deterministic).
+        const std::uint64_t limit = bucket + slots_ - 1;
         while (remaining > 0) {
             Slot &s = slot(res, bucket);
             if (s.bucket != static_cast<std::uint32_t>(bucket)) {

@@ -70,8 +70,6 @@ FairJobQueue::popEligibleLocked()
 void
 FairJobQueue::agePassedOverLocked(int servedPriority)
 {
-    if (agingThreshold_ == 0)
-        return;
     // Two passes: detach every job due for promotion first, then
     // reinsert one level up — reinsertion mutates buckets_ and must
     // not run under the iteration.
@@ -82,7 +80,7 @@ FairJobQueue::agePassedOverLocked(int servedPriority)
         Bucket &bucket = bp.second;
         if (bucket.rotation.empty())
             continue;
-        if (++bucket.skipped < agingThreshold_)
+        if (++bucket.skipped < kAgingPops)
             continue;
         bucket.skipped = 0;
         // The level's next-in-rotation client's oldest job: promoting

@@ -18,7 +18,7 @@
 #include "common/config_file.hpp"
 #include "common/thread_annotations.hpp"
 #include "server/protocol.hpp"
-#include "sim/sweep_runner.hpp"
+#include "sim/experiment_runner.hpp"
 
 namespace impsim {
 namespace server {
@@ -100,19 +100,20 @@ struct ServerJob
  * Starvation guard: strict priority order means a steady stream of
  * high-priority submissions could park a low-priority job forever.
  * Each time a pop serves a higher level while a lower level holds
- * jobs, the passed-over level ages; after `agingThreshold` such
- * pops its oldest next-in-rotation job is promoted one priority
- * level (repeatedly, so any queued job eventually climbs to the top
- * and runs). Threshold 0 disables aging.
+ * jobs, the passed-over level ages; after kAgingPops such pops its
+ * oldest next-in-rotation job is promoted one priority level
+ * (repeatedly, so any queued job eventually climbs to the top and
+ * runs).
  */
 class FairJobQueue
 {
   public:
+    /** Passed-over pops that promote a level's next job one level. */
+    static constexpr std::uint64_t kAgingPops = 16;
+
     explicit FairJobQueue(std::size_t capacity,
-                          std::size_t perClientQuota = 0,
-                          std::uint64_t agingThreshold = 16)
-        : capacity_(capacity), quota_(perClientQuota),
-          agingThreshold_(agingThreshold)
+                          std::size_t perClientQuota = 0)
+        : capacity_(capacity), quota_(perClientQuota)
     {
     }
 
@@ -144,7 +145,6 @@ class FairJobQueue
     std::size_t size() const IMPSIM_EXCLUDES(mutex_);
     std::size_t capacity() const { return capacity_; }
     std::size_t quota() const { return quota_; }
-    std::uint64_t agingThreshold() const { return agingThreshold_; }
 
   private:
     /** One priority level: per-client FIFOs + rotation order. */
@@ -172,7 +172,6 @@ class FairJobQueue
     /** Fixed at construction, so lock-free readers stay honest. */
     const std::size_t capacity_;
     const std::size_t quota_;
-    const std::uint64_t agingThreshold_;
     std::size_t count_ IMPSIM_GUARDED_BY(mutex_) = 0;
     bool closed_ IMPSIM_GUARDED_BY(mutex_) = false;
     /** Priority buckets, highest priority first. */

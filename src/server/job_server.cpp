@@ -918,6 +918,27 @@ JobServer::assignPendingLeases()
         d.conn->write(d.frame);
 }
 
+namespace {
+
+/**
+ * Splits @p total runs into contiguous (first, count) sub-batches of
+ * at most @p chunk runs each, in run order — the fabric's lease
+ * granularity. A chunk of 0 is treated as 1; the last sub-batch
+ * carries the remainder. Rows are indexed by run, so the split never
+ * reaches the output bytes.
+ */
+std::vector<std::pair<std::size_t, std::size_t>>
+splitSubBatches(std::size_t total, std::size_t chunk)
+{
+    chunk = std::max<std::size_t>(chunk, 1);
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    for (std::size_t first = 0; first < total; first += chunk)
+        out.emplace_back(first, std::min(chunk, total - first));
+    return out;
+}
+
+} // namespace
+
 bool
 JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
                        std::string &payload)

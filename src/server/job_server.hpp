@@ -10,11 +10,12 @@
  * streamed back verbatim) and queued through a bounded FairJobQueue
  * (priority order, round-robin across clients, per-client quotas,
  * ERROR on overflow = backpressure). Up to `maxActive` runner threads
- * each pop a job and lease a weighted-fair slice of the pool for it —
- * results stay bit-identical to an in-process run whatever the
- * interleaving, because per-job results are indexed by run, never by
- * completion time. Terminal jobs land in a ResultStore so a client
- * that disconnected mid-job can reconnect and FETCH later.
+ * each pop a job and lease pool slots for it, weighted by its priority
+ * (WorkerPool's grant rule, sim/experiment_runner.hpp) — results stay
+ * bit-identical to an in-process run whatever the interleaving,
+ * because per-job results are indexed by run, never by completion
+ * time. Terminal jobs land in a ResultStore so a client that
+ * disconnected mid-job can reconnect and FETCH later.
  *
  * Protocol reference and failure modes: docs/job_server.md.
  */
@@ -34,7 +35,7 @@
 #include "server/job_queue.hpp"
 #include "server/protocol.hpp"
 #include "server/result_store.hpp"
-#include "sim/sweep_runner.hpp"
+#include "sim/experiment_runner.hpp"
 
 namespace impsim {
 namespace server {

@@ -106,9 +106,8 @@ parseManifest(const std::string &text, StoredResult &out)
 
 } // namespace
 
-ResultStore::ResultStore(std::string dir, std::uint64_t maxBytes,
-                         std::size_t maxEntries)
-    : dir_(std::move(dir)), maxBytes_(maxBytes), maxEntries_(maxEntries)
+ResultStore::ResultStore(std::string dir, std::uint64_t maxBytes)
+    : dir_(std::move(dir)), maxBytes_(maxBytes)
 {
 }
 
@@ -310,7 +309,7 @@ void
 ResultStore::evictLocked()
 {
     while (entries_.size() > 1 &&
-           (bytesTotal_ > maxBytes_ || entries_.size() > maxEntries_)) {
+           (bytesTotal_ > maxBytes_ || entries_.size() > kMaxEntries)) {
         // Victim: smallest LRU stamp. The newest entry never goes, so
         // an oversized result is fetchable at least once.
         std::uint64_t victim = 0;

@@ -56,15 +56,18 @@ class ResultStore
 {
   public:
     /**
+     * Manifests kept before LRU eviction: cancelled jobs store zero
+     * payload bytes, so a byte bound alone would let them accumulate
+     * without limit.
+     */
+    static constexpr std::size_t kMaxEntries = 4096;
+
+    /**
      * @param dir results directory; empty = in-memory only.
      * @param maxBytes total payload bytes kept before LRU eviction.
-     * @param maxEntries manifest count bound (cancelled jobs store
-     *        zero payload bytes, so a byte bound alone would let
-     *        them accumulate without limit).
      */
     explicit ResultStore(std::string dir,
-                         std::uint64_t maxBytes = 256ull << 20,
-                         std::size_t maxEntries = 4096);
+                         std::uint64_t maxBytes = 256ull << 20);
 
     /**
      * Creates the directory and indexes existing manifests (no-op in
@@ -119,7 +122,6 @@ class ResultStore
     mutable Mutex mutex_;
     const std::string dir_;
     const std::uint64_t maxBytes_;
-    const std::size_t maxEntries_;
     std::uint64_t seq_ IMPSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t bytesTotal_ IMPSIM_GUARDED_BY(mutex_) = 0;
     std::map<std::uint64_t, StoredResult> entries_

@@ -4,20 +4,141 @@
  */
 #include "sim/experiment_runner.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <map>
-#include <memory>
 #include <numeric>
 #include <ostream>
 #include <sstream>
+#include <thread>
 #include <tuple>
-#include <vector>
 
 #include "common/logging.hpp"
 #include "sim/report.hpp"
+#include "sim/system.hpp"
 #include "workloads/workload.hpp"
 
 namespace impsim {
+
+namespace {
+
+/** @p n, or the hardware thread count (at least 1) when 0. */
+unsigned
+resolveThreads(unsigned n)
+{
+    if (n == 0)
+        n = std::max(1u, std::thread::hardware_concurrency());
+    return n;
+}
+
+} // namespace
+
+// ---- WorkerPool ------------------------------------------------------
+
+WorkerPool::WorkerPool(unsigned slots) : slots_(resolveThreads(slots)) {}
+
+WorkerPool::~WorkerPool()
+{
+    close();
+    // Leases outliving their pool would dereference it; that is a
+    // caller bug, made loud here instead of a later wild pointer.
+    MutexLock lock(mutex_);
+    IMPSIM_CHECK(leases_.empty(), "WorkerPool destroyed with open leases");
+}
+
+WorkerPool::Lease::~Lease()
+{
+    MutexLock lock(pool_->mutex_);
+    const LeaseState &st = pool_->stateOf(*this);
+    IMPSIM_CHECK(st.held == 0 && st.waitTickets.empty(),
+                 "WorkerPool lease destroyed while in use");
+    pool_->leases_.erase(this);
+}
+
+std::unique_ptr<WorkerPool::Lease>
+WorkerPool::lease(double weight)
+{
+    std::unique_ptr<Lease> l(new Lease(*this));
+    MutexLock lock(mutex_);
+    leases_[l.get()].weight = weight > 0 ? weight : 1.0;
+    return l;
+}
+
+WorkerPool::LeaseState &
+WorkerPool::stateOf(const Lease &l)
+{
+    auto it = leases_.find(&l);
+    IMPSIM_CHECK(it != leases_.end(),
+                 "WorkerPool lease unknown to its pool");
+    return it->second;
+}
+
+void
+WorkerPool::close()
+{
+    {
+        MutexLock lock(mutex_);
+        closed_ = true;
+    }
+    cv_.notify_all();
+}
+
+const WorkerPool::LeaseState *
+WorkerPool::grantee() const
+{
+    // The class comment's rule as one sort key, smallest first: a
+    // lease holding no slot beats every other, heaviest first; then
+    // the smallest share after the grant; then the oldest waiter.
+    auto key = [](const LeaseState &st) {
+        return std::make_tuple(st.held > 0,
+                               st.held > 0 ? (st.held + 1) / st.weight
+                                           : -st.weight,
+                               st.waitTickets.front());
+    };
+    const LeaseState *pick = nullptr;
+    for (const auto &entry : leases_) {
+        const LeaseState &st = entry.second;
+        if (!st.waitTickets.empty() && (!pick || key(st) < key(*pick)))
+            pick = &st;
+    }
+    return pick;
+}
+
+bool
+WorkerPool::Lease::acquire()
+{
+    MutexLock lock(pool_->mutex_);
+    LeaseState &st = pool_->stateOf(*this);
+    const std::uint64_t ticket = ++pool_->ticketSeq_;
+    st.waitTickets.push_back(ticket);
+    while (!pool_->closed_ && (pool_->heldTotal_ >= pool_->slots_ ||
+                               pool_->grantee() != &st))
+        pool_->cv_.wait(lock);
+    st.waitTickets.erase(
+        std::find(st.waitTickets.begin(), st.waitTickets.end(), ticket));
+    if (pool_->closed_)
+        return false;
+    ++st.held;
+    ++pool_->heldTotal_;
+    // A slot may still be free, and this grant changed who gets it:
+    // wake the other waiters to re-check.
+    pool_->cv_.notify_all();
+    return true;
+}
+
+void
+WorkerPool::Lease::release()
+{
+    {
+        MutexLock lock(pool_->mutex_);
+        LeaseState &st = pool_->stateOf(*this);
+        IMPSIM_CHECK(st.held > 0, "WorkerPool release without acquire");
+        --st.held;
+        --pool_->heldTotal_;
+    }
+    pool_->cv_.notify_all();
+}
+
+// ---- Experiments -----------------------------------------------------
 
 WorkloadParams
 workloadParams(const ExperimentRun &r)
@@ -36,7 +157,6 @@ simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
              const ExperimentRunOptions &opt, std::vector<SimStats> &stats,
              SimulateTimes *times)
 {
-    stats.clear();
     SweepControl *ctl = opt.control;
     if (ctl && ctl->cancelled())
         return false;
@@ -47,8 +167,8 @@ simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
     using Key = std::tuple<AppId, std::uint32_t, bool, double,
                            std::uint64_t, std::string>;
     std::map<Key, std::unique_ptr<Workload>> workloads;
-    std::vector<SweepJob> sweep;
-    sweep.reserve(indices.size());
+    std::vector<const Workload *> runWorkload;
+    runWorkload.reserve(indices.size());
     std::chrono::duration<double, std::milli> workloadMs{0};
     for (std::size_t idx : indices) {
         IMPSIM_CHECK(idx < exp.runs.size(),
@@ -62,31 +182,70 @@ simulateRuns(const Experiment &exp, const std::vector<std::size_t> &indices,
                 makeWorkload(r.app, workloadParams(r)));
             workloadMs += std::chrono::steady_clock::now() - t0;
         }
-        sweep.push_back(SweepJob{r.label, r.cfg, &w->traces, w->mem.get()});
+        runWorkload.push_back(w.get());
     }
     if (ctl && ctl->cancelled())
         return false;
 
-    // A one-job batch runs on this thread, with the same lease,
-    // cancel and progress steps as any other.
-    std::vector<SweepResult> results =
-        SweepRunner(opt.jobs).run(sweep, ctl, opt.lease);
-    if (ctl && ctl->cancelled())
-        return false;
-    // A batch can also come back short because the pool closed under
-    // it (server shutdown); partial results must never pass as
-    // success.
-    stats.reserve(results.size());
-    for (SweepResult &r : results) {
-        if (!r.ran)
-            return false;
-        stats.push_back(std::move(r.stats));
+    const std::size_t total = indices.size();
+    stats.assign(total, SimStats{});
+    std::vector<double> runMs(total);
+    std::atomic<std::size_t> next{0};
+    std::size_t done = 0; // guarded by progressMutex
+    Mutex progressMutex;
+    auto worker = [&]() {
+        for (;;) {
+            if (ctl && ctl->cancelled())
+                return;
+            // The slot comes before the run index: a worker that
+            // blocks here has claimed nothing, so the batch stays
+            // cancellable between simulations.
+            if (opt.lease && !opt.lease->acquire())
+                return;
+            const std::size_t i = next.fetch_add(1);
+            if (i >= total || (ctl && ctl->cancelled())) {
+                if (opt.lease)
+                    opt.lease->release();
+                return;
+            }
+            const Workload &w = *runWorkload[i];
+            System sys(exp.runs[indices[i]].cfg, w.traces, *w.mem);
+            const auto t0 = std::chrono::steady_clock::now();
+            stats[i] = sys.run();
+            runMs[i] = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+            if (opt.lease)
+                opt.lease->release();
+            // Count and notify under one lock so done counts arrive
+            // strictly monotone 1..N.
+            MutexLock lock(progressMutex);
+            ++done;
+            if (ctl && ctl->onProgress)
+                ctl->onProgress(done, total);
+        }
+    };
+    const std::size_t threads =
+        std::min<std::size_t>(resolveThreads(opt.jobs), total);
+    if (threads <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            pool.emplace_back(worker);
+        for (std::thread &t : pool)
+            t.join();
     }
+
+    // A batch can come back short because it was cancelled or the
+    // pool closed under it (server shutdown); partial results must
+    // never pass as success.
+    if ((ctl && ctl->cancelled()) || done != total)
+        return false;
     if (times) {
         times->workloadMs = workloadMs.count();
-        times->runMs.clear();
-        for (const SweepResult &r : results)
-            times->runMs.push_back(r.runMs);
+        times->runMs = std::move(runMs);
     }
     return true;
 }

@@ -19,7 +19,7 @@
 
 namespace impsim {
 
-/** Default safety tick bound for System::run and SweepJob::limit. */
+/** Default safety tick bound of System::run, which every run uses. */
 inline constexpr Tick kDefaultRunLimit = Tick{4} * 1000 * 1000 * 1000;
 
 /**

@@ -81,6 +81,21 @@ TEST(Bandwidth, StaleSlotsRecycleWithoutGhostTraffic)
     EXPECT_EQ(g.start, 32u);
 }
 
+TEST(Bandwidth, SearchStaysWithinOneLapOfTheRing)
+{
+    // Four windows of 4 cycles, each booked solid: a further claim
+    // from window 0 must not wrap onto window 0's own slot, take it
+    // for window 4 and so erase window 0's bookings.
+    BucketedBandwidth bw(1.0, 4, 4);
+    for (Tick w = 0; w < 4; ++w)
+        bw.claim(4 * w, 4);
+    BwGrant forced = bw.claim(0, 1);
+    EXPECT_EQ(forced.start, 12u) << "forced through at the lap's end";
+
+    BwGrant g = bw.claim(0, 1);
+    EXPECT_GT(g.queueDelay, 0u) << "window 0 must still read full";
+}
+
 /**
  * The resource-major layout BandwidthArray replaced, kept as the
  * reference: one independent ring per resource, claimed with the same
@@ -105,7 +120,7 @@ class ReferenceRing
         BwGrant g;
         std::uint64_t remaining = units;
         std::uint64_t bucket = t / bucketCycles_;
-        std::uint64_t limit = bucket + 16 * slots_;
+        std::uint64_t limit = bucket + slots_ - 1;
         bool first = true;
         int buckets = 0;
         while (remaining > 0) {
@@ -198,9 +213,8 @@ TEST_P(RingLayout, GrantsMatchOneRingPerResource)
         }
         std::uint64_t units = rng() % 8 == 0 ? 16 + rng() % 200
                                              : 1 + rng() % 9;
-        // Only a claim longer than 16 laps of the ring can reach the
-        // forced-through horizon: a shorter search always finds a
-        // recycled, empty slot first.
+        // Claims longer than the ring's horizon are forced through at
+        // its last window, as are claims to a resource booked solid.
         if (rng() % 64 == 0)
             units = 16 * horizon + rng() % horizon;
         BwGrant want = ref[res].claim(t, units);

@@ -274,9 +274,9 @@ TEST(FairJobQueue, QuotaDefersAClientsSecondJobUntilFinished)
 
 TEST(FairJobQueue, AgingPromotesAStarvedLowPriorityJob)
 {
-    // Threshold 2: a level passed over by two pops gets its oldest
-    // job bumped one priority level.
-    FairJobQueue q(64, /*perClientQuota=*/0, /*agingThreshold=*/2);
+    // A level passed over by kAgingPops pops gets its oldest job
+    // bumped one priority level.
+    const std::uint64_t aging = FairJobQueue::kAgingPops;
     auto mk = [](std::uint64_t id, std::uint64_t client, int prio) {
         auto j = std::make_shared<ServerJob>();
         j->id = id;
@@ -284,54 +284,56 @@ TEST(FairJobQueue, AgingPromotesAStarvedLowPriorityJob)
         j->priority = prio;
         return j;
     };
+    auto popAll = [](FairJobQueue &q, std::size_t n) {
+        std::vector<std::shared_ptr<ServerJob>> order;
+        for (std::size_t i = 0; i < n; ++i) {
+            order.push_back(q.pop());
+            EXPECT_TRUE(order.back());
+        }
+        EXPECT_EQ(q.size(), 0u);
+        return order;
+    };
+
     // One low-priority job under a steady high-priority stream: job
-    // 100 would never run under strict priority order.
+    // 100 would never run under strict priority order. kAgingPops
+    // pops of priority 10 promote it to priority 2, which is still
+    // below the stream, so it pops last — but it pops, and its
+    // priority rose by exactly one level.
+    FairJobQueue q(256);
     EXPECT_TRUE(q.push(mk(100, 7, 1)));
-    for (std::uint64_t i = 1; i <= 8; ++i)
+    for (std::uint64_t i = 1; i <= aging + 4; ++i)
         EXPECT_TRUE(q.push(mk(i, 1, 10)));
+    auto order = popAll(q, aging + 5);
+    EXPECT_EQ(order.back()->id, 100u);
+    EXPECT_EQ(order.back()->priority, 2);
 
-    // Pops 1 and 2 serve priority 10 and age level 1; the second pop
-    // promotes job 100 to priority 2. It climbs one level per two
-    // pops; with 8 high-priority jobs ahead it cannot reach 10, so it
-    // pops last — but crucially it pops, and its priority rose.
-    std::vector<std::uint64_t> order;
-    for (int i = 0; i < 9; ++i) {
-        auto j = q.pop();
-        ASSERT_TRUE(j);
-        order.push_back(j->id);
-    }
-    EXPECT_EQ(order.back(), 100u);
-    EXPECT_EQ(q.size(), 0u);
-
-    // Same shape, but enough high-priority traffic that the starved
-    // job ages all the way up and overtakes the tail of the stream.
-    FairJobQueue q2(64, 0, /*agingThreshold=*/1);
+    // Same shape one level apart, with enough high-priority traffic
+    // that the starved job ages all the way up and overtakes the tail
+    // of the stream.
+    FairJobQueue q2(256);
     EXPECT_TRUE(q2.push(mk(200, 7, 1)));
-    for (std::uint64_t i = 1; i <= 20; ++i)
-        EXPECT_TRUE(q2.push(mk(i, 1, 10)));
-    std::vector<std::uint64_t> order2;
-    for (int i = 0; i < 21; ++i)
-        order2.push_back(q2.pop()->id);
-    auto at = std::find(order2.begin(), order2.end(), 200u);
-    ASSERT_NE(at, order2.end());
-    EXPECT_LT(at - order2.begin(), 20)
-        << "with threshold 1 the aged job must overtake the stream";
+    for (std::uint64_t i = 1; i <= 2 * aging; ++i)
+        EXPECT_TRUE(q2.push(mk(i, 1, 2)));
+    auto order2 = popAll(q2, 2 * aging + 1);
+    std::size_t at = 0;
+    while (at < order2.size() && order2[at]->id != 200u)
+        ++at;
+    ASSERT_LT(at, order2.size());
+    EXPECT_LT(at, 2 * aging)
+        << "the aged job must overtake the stream's tail";
 
     // Aging never lifts a job past the priority ceiling.
-    FairJobQueue q3(64, 0, /*agingThreshold=*/1);
+    FairJobQueue q3(256);
     EXPECT_TRUE(q3.push(mk(300, 7, server::kMaxPriority - 1)));
-    for (std::uint64_t i = 1; i <= 6; ++i)
+    for (std::uint64_t i = 1; i <= 2 * aging; ++i)
         EXPECT_TRUE(q3.push(mk(i, 1, server::kMaxPriority)));
     std::shared_ptr<ServerJob> aged;
-    for (int i = 0; i < 7; ++i) {
-        auto j = q3.pop();
-        ASSERT_TRUE(j);
+    for (const auto &j : popAll(q3, 2 * aging + 1)) {
         if (j->id == 300u)
             aged = j;
     }
     ASSERT_TRUE(aged);
     EXPECT_EQ(aged->priority, server::kMaxPriority);
-    EXPECT_EQ(q3.size(), 0u);
 }
 
 /** The single run @p cli binds on an empty config. */

@@ -139,15 +139,16 @@ TEST(ResultStore, EntryBoundCoversZeroByteManifests)
 {
     // Cancelled jobs archive zero payload bytes; only the entry cap
     // stops them accumulating forever.
-    ResultStore store("", /*maxBytes=*/1 << 20, /*maxEntries=*/2);
-    store.put(meta(1, "cancelled"), "");
-    store.put(meta(2, "cancelled"), "");
-    store.put(meta(3, "cancelled"), "");
-    EXPECT_EQ(store.entries(), 2u);
+    ResultStore store("", /*maxBytes=*/1 << 20);
+    const std::uint64_t n = ResultStore::kMaxEntries + 1;
+    for (std::uint64_t id = 1; id <= n; ++id)
+        store.put(meta(id, "cancelled"), "");
+    EXPECT_EQ(store.entries(), ResultStore::kMaxEntries);
     StoredResult m;
     EXPECT_FALSE(store.manifest(1, m));
+    EXPECT_TRUE(store.wasEvicted(1));
     EXPECT_TRUE(store.manifest(2, m));
-    EXPECT_TRUE(store.manifest(3, m));
+    EXPECT_TRUE(store.manifest(n, m));
 }
 
 TEST(ResultStore, DiskModePersistsAcrossReload)

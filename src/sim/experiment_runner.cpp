@@ -85,13 +85,9 @@ WorkerPool::close()
 const WorkerPool::LeaseState *
 WorkerPool::grantee() const
 {
-    // The class comment's rule as one sort key, smallest first: a
-    // lease holding no slot beats every other, heaviest first; then
-    // the smallest share after the grant; then the oldest waiter.
+    // The class comment's rule as one sort key, smallest first.
     auto key = [](const LeaseState &st) {
-        return std::make_tuple(st.held > 0,
-                               st.held > 0 ? (st.held + 1) / st.weight
-                                           : -st.weight,
+        return std::make_tuple(st.held / st.weight, -st.weight,
                                st.waitTickets.front());
     };
     const LeaseState *pick = nullptr;

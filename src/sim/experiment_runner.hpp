@@ -66,19 +66,17 @@ class SweepControl
  * A worker thread acquire()s one of its lease's slots before every
  * simulation and release()s it after, so the split is decided at
  * simulation granularity, the cadence at which cancellation is
- * honoured. Whenever a slot is free it goes, by one rule:
- *
- *  1. to a waiting lease that holds no slot, heaviest first;
- *  2. else to the waiting lease with the smallest
- *     (held + 1) / weight;
- *  3. ties to the lease whose oldest waiter has waited longest.
+ * honoured. Whenever a slot is free it goes to the waiting lease
+ * with the smallest held / weight, then the heaviest, then the one
+ * whose oldest waiter has waited longest.
  *
  * So weights 3:1 over 4 busy slots hold 3 and 1, 100:1 over 2 hold 1
- * and 1 (rule 1: no waiting lease starves), a lease alone takes every
- * slot, and a draining lease's slots go straight to whoever still
- * waits. The pool never runs more than `slots` simulations at once.
- * The split only affects scheduling: per-batch results are indexed by
- * run, so output stays bit-identical to a serial run.
+ * and 1 (a waiting lease that holds no slot goes first, so none
+ * starves), a lease alone takes every slot, and a draining lease's
+ * slots go straight to whoever still waits. The pool never runs more
+ * than `slots` simulations at once. The split only affects
+ * scheduling: per-batch results are indexed by run, so output stays
+ * bit-identical to a serial run.
  */
 class WorkerPool
 {

@@ -295,32 +295,36 @@ TEST(FairJobQueue, AgingPromotesAStarvedLowPriorityJob)
     };
 
     // One low-priority job under a steady high-priority stream: job
-    // 100 would never run under strict priority order. kAgingPops
-    // pops of priority 10 promote it to priority 2, which is still
-    // below the stream, so it pops last — but it pops, and its
-    // priority rose by exactly one level.
+    // 100 would never run under strict priority order. Every
+    // kAgingPops pops of priority 10 promote it one level, and each
+    // new level starts its count from zero, so 3 * kAgingPops + 4
+    // pops lift it exactly three levels: still below the stream, so
+    // it pops last — but it pops, at priority 4.
     FairJobQueue q(256);
     EXPECT_TRUE(q.push(mk(100, 7, 1)));
-    for (std::uint64_t i = 1; i <= aging + 4; ++i)
+    for (std::uint64_t i = 1; i <= 3 * aging + 4; ++i)
         EXPECT_TRUE(q.push(mk(i, 1, 10)));
-    auto order = popAll(q, aging + 5);
+    auto order = popAll(q, 3 * aging + 5);
     EXPECT_EQ(order.back()->id, 100u);
-    EXPECT_EQ(order.back()->priority, 2);
+    EXPECT_EQ(order.back()->priority, 4);
 
-    // Same shape one level apart, with enough high-priority traffic
-    // that the starved job ages all the way up and overtakes the tail
-    // of the stream.
+    // Same shape with enough high-priority traffic that the starved
+    // job climbs all nine levels to the stream's own priority (no
+    // sooner than 9 * kAgingPops pops) and then overtakes the tail of
+    // the stream in the round-robin.
     FairJobQueue q2(256);
     EXPECT_TRUE(q2.push(mk(200, 7, 1)));
-    for (std::uint64_t i = 1; i <= 2 * aging; ++i)
-        EXPECT_TRUE(q2.push(mk(i, 1, 2)));
-    auto order2 = popAll(q2, 2 * aging + 1);
+    const std::uint64_t stream = 9 * aging + 4;
+    for (std::uint64_t i = 1; i <= stream; ++i)
+        EXPECT_TRUE(q2.push(mk(i, 1, 10)));
+    auto order2 = popAll(q2, stream + 1);
     std::size_t at = 0;
     while (at < order2.size() && order2[at]->id != 200u)
         ++at;
     ASSERT_LT(at, order2.size());
-    EXPECT_LT(at, 2 * aging)
-        << "the aged job must overtake the stream's tail";
+    EXPECT_EQ(order2[at]->priority, 10);
+    EXPECT_GE(at, 9 * aging) << "one level per kAgingPops pops";
+    EXPECT_LT(at, stream) << "the aged job must overtake the stream's tail";
 
     // Aging never lifts a job past the priority ceiling.
     FairJobQueue q3(256);

@@ -9,8 +9,7 @@
  *                [--max-active K] [--per-client-quota Q]
  *                [--results-dir DIR] [--results-max-bytes N]
  *                [--lease-runs R] [--ready-file PATH]
- *   impsim_serve --worker-of ADDR [--slots S] [--jobs N]
- *                [--ready-file PATH]
+ *   impsim_serve --worker-of ADDR [--jobs N] [--ready-file PATH]
  *
  * --socket PATH        Unix-domain socket to listen on (created, and
  *                      removed again on shutdown)
@@ -40,9 +39,8 @@
  * Worker mode (the distributed sweep fabric, docs/job_server.md):
  * --worker-of ADDR     do not listen; connect to the coordinator at
  *                      ADDR (socket path or tcp:HOST:PORT), register,
- *                      and serve leased sub-batches until it hangs up
- * --slots S            leases the coordinator may hand this worker at
- *                      once (default 1); they still run one at a time
+ *                      and serve leased sub-batches, one lease at a
+ *                      time, until it hangs up
  *
  * Clients speak the line protocol in docs/job_server.md; the
  * matching client is `impsim_cli --submit FILE --server PATH`, whose
@@ -128,9 +126,6 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(parseInt(next(), 1, 1 << 20));
         } else if (a == "--worker-of") {
             worker.coordinator = next();
-        } else if (a == "--slots") {
-            worker.slots =
-                static_cast<unsigned>(parseInt(next(), 1, 1024));
         } else if (a == "--ready-file") {
             readyFile = next();
         } else {
@@ -156,8 +151,8 @@ main(int argc, char **argv)
                      "[--per-client-quota Q] [--results-dir DIR] "
                      "[--results-max-bytes N] [--lease-runs R] "
                      "[--ready-file PATH]\n"
-                     "   or: impsim_serve --worker-of ADDR [--slots S] "
-                     "[--jobs N] [--ready-file PATH]\n");
+                     "   or: impsim_serve --worker-of ADDR [--jobs N] "
+                     "[--ready-file PATH]\n");
         return 1;
     }
 

@@ -32,9 +32,10 @@ main(int argc, char **argv)
         ConfigPreset::Imp,           ConfigPreset::ImpPartialNocDram,
     };
 
+    // Base runs after Ideal and PerfPref, so every speedup is printed
+    // once all rows have run.
+    std::vector<SimStats> stats;
     double base_cycles = 0.0;
-    std::printf("%-18s %12s %8s %10s %10s\n", "config", "cycles", "IPC",
-                "L1 miss%", "speedup");
     for (ConfigPreset p : presets) {
         WorkloadParams wp;
         wp.numCores = cores;
@@ -44,21 +45,23 @@ main(int argc, char **argv)
 
         SystemConfig cfg = makePreset(p, cores);
         System sys(cfg, w.traces, *w.mem);
-        SimStats s = sys.run();
+        stats.push_back(sys.run());
+        if (p == ConfigPreset::Baseline)
+            base_cycles = static_cast<double>(stats.back().cycles);
+    }
 
+    std::printf("%-18s %12s %8s %10s %10s\n", "config", "cycles", "IPC",
+                "L1 miss%", "speedup");
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        const SimStats &s = stats[i];
         double miss_pct =
             100.0 * static_cast<double>(s.l1MissOpportunities()) /
             static_cast<double>(s.l1.hits + s.l1.misses + 1);
-        if (p == ConfigPreset::Baseline)
-            base_cycles = static_cast<double>(s.cycles);
-        double speedup = base_cycles > 0.0
-                             ? base_cycles / static_cast<double>(s.cycles)
-                             : 0.0;
-        std::printf("%-18s %12llu %8.3f %9.1f%% %9.2fx\n", presetName(p),
+        std::printf("%-18s %12llu %8.3f %9.1f%% %9.2fx\n",
+                    presetName(presets[i]),
                     static_cast<unsigned long long>(s.cycles), s.ipc(),
-                    miss_pct, speedup);
+                    miss_pct, base_cycles / static_cast<double>(s.cycles));
     }
-
     std::printf("\nIMP should recover most of the Base->PerfPref gap "
                 "(paper Fig 9).\n");
     return 0;

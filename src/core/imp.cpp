@@ -16,8 +16,8 @@ ImpPrefetcher::ImpPrefetcher(PrefetchHost &host, const ImpConfig &cfg,
                              const GpConfig &gp_cfg, bool partial,
                              bool line_granular, TlbPfCross cross)
     : host_(host), cfg_(cfg), streamCfg_(stream_cfg), partial_(partial),
-      lineGranular_(line_granular), cross_(cross), pt_(cfg, stream_cfg),
-      ipd_(cfg), gp_(gp_cfg, cfg.ptEntries)
+      lineGranular_(line_granular), cross_(cross),
+      pt_(cfg, stream_cfg, &ipd_), ipd_(cfg), gp_(gp_cfg, cfg.ptEntries)
 {}
 
 std::uint32_t

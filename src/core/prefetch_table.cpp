@@ -5,12 +5,13 @@
 #include "core/prefetch_table.hpp"
 
 #include "common/logging.hpp"
+#include "core/ipd.hpp"
 
 namespace impsim {
 
 PrefetchTable::PrefetchTable(const ImpConfig &cfg,
-                             const StreamConfig &stream_cfg)
-    : cfg_(cfg), streamCfg_(stream_cfg)
+                             const StreamConfig &stream_cfg, Ipd *ipd)
+    : cfg_(cfg), streamCfg_(stream_cfg), ipd_(ipd)
 {
     entries_.resize(cfg_.ptEntries);
     pcHint_.fill(kNoEntry);
@@ -48,6 +49,17 @@ PrefetchTable::clearEntry(PtEntry &e)
     e.lru = lru;
 }
 
+PtEntry &
+PrefetchTable::reuse(std::int16_t id)
+{
+    PtEntry &e = entries_[id];
+    if (e.valid)
+        clearEntry(e);
+    if (ipd_)
+        ipd_->releaseFor(id);
+    return e;
+}
+
 std::int16_t
 PrefetchTable::allocate(std::uint32_t pc, Addr addr)
 {
@@ -68,9 +80,7 @@ PrefetchTable::allocate(std::uint32_t pc, Addr addr)
     if (victim == kNoEntry)
         return kNoEntry; // Pathological: every entry is secondary.
 
-    PtEntry &e = entries_[victim];
-    if (e.valid)
-        clearEntry(e);
+    PtEntry &e = reuse(victim);
     e.valid = true;
     e.secondary = false;
     e.pc = pc;
@@ -107,9 +117,7 @@ PrefetchTable::allocSecondary(std::int16_t parent, IndType type)
     if (victim == kNoEntry)
         return kNoEntry;
 
-    PtEntry &e = entries_[victim];
-    if (e.valid)
-        clearEntry(e);
+    PtEntry &e = reuse(victim);
     e.valid = true;
     e.secondary = true;
     e.indType = type;

@@ -20,6 +20,8 @@
 
 namespace impsim {
 
+class Ipd;
+
 /** Secondary-indirection role of a PT entry (Fig 6). */
 enum class IndType : std::uint8_t {
     None = 0,       ///< Indirect part inactive.
@@ -98,7 +100,15 @@ struct StreamObservation
 class PrefetchTable
 {
   public:
-    PrefetchTable(const ImpConfig &cfg, const StreamConfig &stream_cfg);
+    /**
+     * @param ipd the detector whose entries are keyed by this table's
+     *            ids (IMP's); every id the table hands out again drops
+     *            them, so a detection started for an evicted stream
+     *            cannot land on the new one. nullptr: none (the stream
+     *            engine).
+     */
+    PrefetchTable(const ImpConfig &cfg, const StreamConfig &stream_cfg,
+                  Ipd *ipd = nullptr);
 
     std::uint32_t size() const
     {
@@ -148,6 +158,8 @@ class PrefetchTable
     std::int16_t findByPc(std::uint32_t pc) const;
     std::int16_t allocate(std::uint32_t pc, Addr addr);
     void clearEntry(PtEntry &e);
+    /** Clears frame @p id for a new stream, IPD entries included. */
+    PtEntry &reuse(std::int16_t id);
 
     ImpConfig cfg_;
     StreamConfig streamCfg_;
@@ -161,6 +173,11 @@ class PrefetchTable
      * in the table, making the hinted result identical to the scan's.
      */
     mutable std::array<std::int16_t, 256> pcHint_;
+    /**
+     * The constructor's @p ipd. Not used before the first allocation,
+     * so its owner may construct it after this table.
+     */
+    Ipd *ipd_;
 };
 
 [[gnu::always_inline]] inline StreamObservation

@@ -78,7 +78,8 @@ class MeshNoc
 
     /**
      * Latency-only variant: computes the arrival tick without claiming
-     * bandwidth (used for idealised configurations and tests).
+     * bandwidth. No configuration uses it; tests take it as the
+     * contention-free reference for send().
      */
     Tick sendUncontended(CoreId src, CoreId dst,
                          std::uint32_t payload_bytes, Tick when) const;

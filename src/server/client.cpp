@@ -321,8 +321,8 @@ listJobs(const std::string &address, std::ostream &out, std::ostream &err)
         FleetEntry e;
         std::string perr;
         if (parseFleetLine(line, e, perr)) {
-            out << "  " << e.workerId << " slots=" << e.slots
-                << " active=" << e.activeLeases << "\n";
+            out << "  " << e.workerId << " active=" << e.activeLeases
+                << "\n";
         }
     }
     return 0;

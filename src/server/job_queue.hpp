@@ -40,21 +40,20 @@ struct ServerJob
     std::uint64_t id = 0;
     /** Identifies the submitting connection (fairness + delivery). */
     std::uint64_t clientId = 0;
-    /** Diagnostic origin, e.g. the client-side file path. */
-    std::string origin;
     /** Bound experiment; cleared after the run to bound memory. */
     Experiment exp;
     /**
-     * Verbatim SUBMIT config text plus the parsed request line, kept
-     * so the distributed fabric can re-ship the job to remote workers
-     * in LEASE frames; workers re-bind it themselves with the same
-     * binder, so run indices agree (docs/job_server.md). Cleared with
-     * `exp` after the run.
+     * Verbatim SUBMIT config text, kept so the distributed fabric can
+     * re-ship the job to remote workers in LEASE frames; workers
+     * re-bind it themselves with the same binder, so run indices
+     * agree (docs/job_server.md). Cleared with `exp` after the run.
      */
     std::string configText;
+    /**
+     * The parsed request line: origin (diagnostics, LIST), csv (the
+     * CLI's --csv) and the overrides LEASE frames re-send.
+     */
     SubmitRequest submit;
-    /** Force CSV for single-run configs (the CLI's --csv). */
-    bool csv = false;
     /**
      * Scheduling priority (the SUBMIT `priority=` token): pops ahead
      * of lower-priority queued jobs and weights the pool partition

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 
 #include <arpa/inet.h>
@@ -20,6 +21,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/logging.hpp"
 #include "sim/experiment_runner.hpp"
 #include "workloads/trace_io.hpp"
 
@@ -372,8 +374,6 @@ JobServer::handleSubmit(Connection &conn, LineReader &reader,
         return;
     }
     job->clientId = conn.clientId;
-    job->origin = req.origin;
-    job->csv = req.csv;
     job->priority = req.priority;
     job->total = job->exp.runs.size();
     // Kept verbatim so the fabric can re-ship the job in LEASE
@@ -578,7 +578,7 @@ JobServer::handleList(Connection &conn)
                             job.stateName() + " " +
                             std::to_string(job.done.load()) + "/" +
                             std::to_string(job.total) + " 0 " +
-                            escapeToken(job.origin) + "\n";
+                            escapeToken(job.submit.origin) + "\n";
         }
     }
     std::string payload;
@@ -596,11 +596,13 @@ JobServer::handleWorkers(Connection &conn)
     std::string payload;
     {
         MutexLock lock(fabricMutex_);
-        for (const auto &entry : workers_) {
+        for (const auto &worker : workers_) {
             FleetEntry e;
-            e.workerId = entry.first;
-            e.slots = entry.second.slots;
-            e.activeLeases = entry.second.leases.size();
+            e.workerId = worker.first;
+            for (const auto &lease : leases_) {
+                if (lease.second.workerId == worker.first)
+                    ++e.activeLeases;
+            }
             payload += formatFleetLine(e) + "\n";
         }
     }
@@ -622,7 +624,7 @@ JobServer::finishJob(const std::shared_ptr<ServerJob> &job,
                      : "cancelled";
     meta.done = job->done.load();
     meta.total = job->total;
-    meta.origin = job->origin;
+    meta.origin = job->submit.origin;
     store_.put(meta, payload);
 
     std::shared_ptr<Connection> submitter = takeSubmitter(job->id);
@@ -687,24 +689,7 @@ JobServer::handleWorker(const std::shared_ptr<Connection> &conn,
             std::to_string(kProtocolVersion) + ")"));
         return;
     }
-    unsigned slots = 1;
-    for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const std::string &tok = tokens[i];
-        std::size_t eq = tok.find('=');
-        if (eq == std::string::npos)
-            continue; // unknown flag token: forwards compatibility
-        const std::string key = tok.substr(0, eq);
-        const std::string value = tok.substr(eq + 1);
-        std::uint64_t n = 0;
-        if (key == "slots") {
-            if (!parseNumber(value, n, 1024) || n == 0) {
-                conn->write(errorFrame("WORKER: bad slots '" + value +
-                                       "' (want 1..1024)"));
-                return;
-            }
-            slots = static_cast<unsigned>(n);
-        }
-    }
+    // Tokens after the version are ignored (forward compatibility).
 
     // REGISTERED goes out before the worker becomes visible to the
     // lease assigner, so no LEASE can overtake it on the wire.
@@ -713,9 +698,7 @@ JobServer::handleWorker(const std::shared_ptr<Connection> &conn,
         return;
     {
         MutexLock lock(fabricMutex_);
-        RemoteWorker &w = workers_[conn->clientId];
-        w.conn = conn;
-        w.slots = slots;
+        workers_[conn->clientId] = conn;
         fabricCv_.notify_all();
     }
     assignPendingLeases();
@@ -778,10 +761,7 @@ JobServer::handleWorkerRow(std::uint64_t workerId, std::uint64_t leaseId,
     const Lease &lease = lit->second;
     if (run < lease.first || run >= lease.first + lease.count)
         return; // outside the leased range: ignore
-    auto jit = distJobs_.find(lease.jobId);
-    if (jit == distJobs_.end())
-        return;
-    DistJob &dj = *jit->second;
+    DistJob &dj = jobOf(lease);
     const auto idx = static_cast<std::size_t>(run);
     // A re-run after lease recovery can duplicate a row; the bytes
     // are identical by the determinism invariant, so first-in wins
@@ -795,6 +775,30 @@ JobServer::handleWorkerRow(std::uint64_t workerId, std::uint64_t leaseId,
     fabricCv_.notify_all();
 }
 
+JobServer::DistJob &
+JobServer::jobOf(const Lease &lease)
+{
+    auto jit = distJobs_.find(lease.jobId);
+    IMPSIM_CHECK(jit != distJobs_.end(), "fabric lease outlived its job");
+    return *jit->second;
+}
+
+void
+JobServer::releaseLease(LeaseMap::iterator lit)
+{
+    Lease &lease = lit->second;
+    const std::vector<bool> &have = jobOf(lease).have;
+    for (std::size_t i = lease.first; i < lease.first + lease.count; ++i) {
+        if (!have[i]) {
+            lease.workerId = 0;
+            return;
+        }
+    }
+    // Every row arrived, even if the worker dropped before its
+    // LEASEDONE: nothing of the lease is left to run.
+    leases_.erase(lit);
+}
+
 void
 JobServer::handleLeaseDone(std::uint64_t workerId, std::uint64_t leaseId)
 {
@@ -803,32 +807,9 @@ JobServer::handleLeaseDone(std::uint64_t workerId, std::uint64_t leaseId)
         auto lit = leases_.find(leaseId);
         if (lit == leases_.end() || lit->second.workerId != workerId)
             return; // stale
-        const Lease lease = lit->second;
-        auto wit = workers_.find(workerId);
-        if (wit != workers_.end())
-            wit->second.leases.erase(leaseId);
-        auto jit = distJobs_.find(lease.jobId);
-        bool complete = true;
-        if (jit != distJobs_.end()) {
-            for (std::size_t i = lease.first;
-                 i < lease.first + lease.count; ++i) {
-                if (!jit->second->have[i]) {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if (complete || jit == distJobs_.end()) {
-            leases_.erase(lit);
-        } else {
-            // Given back with rows missing (the worker's batch was
-            // revoked or cut short): someone else must run the rest.
-            lit->second.workerId = 0;
-            pendingLeases_.push_back(leaseId);
-        }
-        fabricCv_.notify_all();
+        releaseLease(lit);
     }
-    assignPendingLeases(); // a slot just freed up
+    assignPendingLeases(); // the worker is idle again
 }
 
 void
@@ -836,24 +817,16 @@ JobServer::unregisterWorker(std::uint64_t clientId)
 {
     {
         MutexLock lock(fabricMutex_);
-        auto wit = workers_.find(clientId);
-        if (wit == workers_.end())
+        if (workers_.erase(clientId) == 0)
             return;
-        // Re-queue everything the worker still owed — the core of
-        // lease recovery: a SIGKILLed or severed worker loses work,
-        // never the job.
-        for (std::uint64_t leaseId : wit->second.leases) {
-            auto lit = leases_.find(leaseId);
-            if (lit == leases_.end())
-                continue;
-            if (distJobs_.count(lit->second.jobId)) {
-                lit->second.workerId = 0;
-                pendingLeases_.push_back(leaseId);
-            } else {
-                leases_.erase(lit);
+        // The core of lease recovery: a SIGKILLed or severed worker
+        // loses work, never the job.
+        for (auto lit = leases_.begin(); lit != leases_.end(); ++lit) {
+            if (lit->second.workerId == clientId) {
+                releaseLease(lit);
+                break;
             }
         }
-        workers_.erase(wit);
         fabricCv_.notify_all();
     }
     assignPendingLeases();
@@ -870,74 +843,37 @@ JobServer::assignPendingLeases()
     std::vector<Dispatch> out;
     {
         MutexLock lock(fabricMutex_);
-        while (!pendingLeases_.empty()) {
-            // Least-loaded worker with a free slot takes the oldest
-            // pending lease.
-            RemoteWorker *pick = nullptr;
-            std::uint64_t pickId = 0;
-            for (auto &entry : workers_) {
-                RemoteWorker &w = entry.second;
-                if (w.leases.size() >= w.slots)
-                    continue;
-                if (!pick || w.leases.size() < pick->leases.size()) {
-                    pick = &w;
-                    pickId = entry.first;
-                }
-            }
-            if (!pick)
-                break;
-            const std::uint64_t leaseId = pendingLeases_.front();
-            pendingLeases_.pop_front();
-            auto lit = leases_.find(leaseId);
-            if (lit == leases_.end())
-                continue; // withdrawn while queued
-            auto jit = distJobs_.find(lit->second.jobId);
-            if (jit == distJobs_.end()) {
-                leases_.erase(lit);
+        std::set<std::uint64_t> idle;
+        for (const auto &worker : workers_)
+            idle.insert(worker.first);
+        for (const auto &entry : leases_)
+            idle.erase(entry.second.workerId);
+        auto next = idle.begin();
+        for (auto lit = leases_.begin();
+             lit != leases_.end() && next != idle.end(); ++lit) {
+            Lease &lease = lit->second;
+            if (lease.workerId != 0)
                 continue;
-            }
-            const std::shared_ptr<ServerJob> &job = jit->second->job;
-            lit->second.workerId = pickId;
-            pick->leases.insert(leaseId);
+            const ServerJob &job = *jobOf(lease).job;
+            lease.workerId = *next++;
             LeaseRequest lr;
-            lr.leaseId = leaseId;
-            lr.firstRun = lit->second.first;
-            lr.runCount = lit->second.count;
-            lr.submit = job->submit;
-            lr.submit.configBytes = job->configText.size();
-            out.push_back(Dispatch{pick->conn, formatLeaseLine(lr) +
-                                                   "\n" +
-                                                   job->configText});
+            lr.leaseId = lit->first;
+            lr.firstRun = lease.first;
+            lr.runCount = lease.count;
+            lr.submit = job.submit;
+            lr.submit.configBytes = job.configText.size();
+            out.push_back(Dispatch{workers_.at(lease.workerId),
+                                   formatLeaseLine(lr) + "\n" +
+                                       job.configText});
         }
     }
     // Written after dropping the lock: a stalled worker must not
     // pin the fabric for its 30s send timeout. A failed write shuts
     // the connection down; its reader exits and unregisterWorker
-    // re-queues the lease.
+    // frees the lease.
     for (Dispatch &d : out)
         d.conn->write(d.frame);
 }
-
-namespace {
-
-/**
- * Splits @p total runs into contiguous (first, count) sub-batches of
- * at most @p chunk runs each, in run order — the fabric's lease
- * granularity. A chunk of 0 is treated as 1; the last sub-batch
- * carries the remainder. Rows are indexed by run, so the split never
- * reaches the output bytes.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-splitSubBatches(std::size_t total, std::size_t chunk)
-{
-    chunk = std::max<std::size_t>(chunk, 1);
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    for (std::size_t first = 0; first < total; first += chunk)
-        out.emplace_back(first, std::min(chunk, total - first));
-    return out;
-}
-
-} // namespace
 
 bool
 JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
@@ -949,17 +885,15 @@ JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
     dist->rows.assign(total, std::string());
     dist->have.assign(total, false);
     {
+        // Contiguous sub-batches of leaseRuns runs (the last one
+        // shorter), in run order. Rows are indexed by run, so the
+        // split never reaches the output bytes.
+        const std::size_t chunk = std::max<std::size_t>(cfg_.leaseRuns, 1);
         MutexLock lock(fabricMutex_);
         distJobs_[job->id] = dist;
-        for (const auto &batch :
-             splitSubBatches(total, cfg_.leaseRuns)) {
-            Lease lease;
-            lease.id = nextLeaseId_++;
-            lease.jobId = job->id;
-            lease.first = batch.first;
-            lease.count = batch.second;
-            leases_[lease.id] = lease;
-            pendingLeases_.push_back(lease.id);
+        for (std::size_t first = 0; first < total; first += chunk) {
+            leases_[nextLeaseId_++] =
+                Lease{job->id, first, std::min(chunk, total - first), 0};
         }
     }
     assignPendingLeases();
@@ -990,29 +924,16 @@ JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
         // Withdraw the job from the fabric whatever the exit: erase
         // its leases, revoke the assigned ones (late ROW frames fail
         // the ownership check and fall harmlessly).
-        std::set<std::uint64_t> withdrawn;
         for (auto it = leases_.begin(); it != leases_.end();) {
             if (it->second.jobId != job->id) {
                 ++it;
                 continue;
             }
-            if (it->second.workerId != 0) {
-                auto wit = workers_.find(it->second.workerId);
-                if (wit != workers_.end()) {
-                    wit->second.leases.erase(it->first);
-                    revokes.push_back(
-                        Revoke{wit->second.conn, it->first});
-                }
-            }
-            withdrawn.insert(it->first);
+            if (it->second.workerId != 0)
+                revokes.push_back(
+                    Revoke{workers_.at(it->second.workerId), it->first});
             it = leases_.erase(it);
         }
-        pendingLeases_.erase(
-            std::remove_if(pendingLeases_.begin(), pendingLeases_.end(),
-                           [&withdrawn](std::uint64_t id) {
-                               return withdrawn.count(id) != 0;
-                           }),
-            pendingLeases_.end());
         distJobs_.erase(job->id);
         for (std::size_t i = 0; i < total; ++i) {
             if (!dist->have[i])
@@ -1022,7 +943,7 @@ JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
     for (Revoke &r : revokes)
         r.conn->write("REVOKE " + std::to_string(r.id) + "\n");
     if (!revokes.empty())
-        assignPendingLeases(); // their slots just freed up
+        assignPendingLeases(); // their workers are idle again
 
     if (abort)
         return false;
@@ -1039,7 +960,7 @@ JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
         std::unique_ptr<WorkerPool::Lease> lease =
             pool_.lease(static_cast<double>(job->priority));
         ExperimentRunOptions opt;
-        opt.csv = job->csv;
+        opt.csv = job->submit.csv;
         opt.jobs = pool_.slots();
         opt.control = &job->control;
         opt.lease = lease.get();
@@ -1063,18 +984,10 @@ JobServer::executeRows(const std::shared_ptr<ServerJob> &job,
             dist->rows[missing[i]] = std::move(rows[i]);
     }
 
-    // Assemble exactly what a local runExperiment() would have
-    // written: rows spliced by run index, so the bytes cannot depend
-    // on which host ran which simulation.
-    if (total == 1 && !job->csv) {
-        payload = std::move(dist->rows[0]);
-    } else {
-        // Experiment-aware header: the TLB column group must match
-        // the widened rows TLB-enabled runs produce (report.hpp).
-        payload = csvHeader(job->exp);
-        for (const std::string &row : dist->rows)
-            payload += row;
-    }
+    // Rows are spliced by run index, so the bytes cannot depend on
+    // which host ran which simulation.
+    payload = experimentOutput(job->exp, job->submit.csv,
+                               std::move(dist->rows));
     return true;
 }
 

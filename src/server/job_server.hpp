@@ -23,10 +23,8 @@
 #define IMPSIM_SERVER_JOB_SERVER_HPP
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,19 +187,17 @@ class JobServer
     void handleWorkerRow(std::uint64_t workerId, std::uint64_t leaseId,
                          std::uint64_t run, const std::string &row)
         IMPSIM_EXCLUDES(fabricMutex_);
-    /**
-     * Retires a finished lease — or re-queues it when the worker gave
-     * it back with rows missing (revoked mid-batch).
-     */
+    /** Frees @p workerId's lease @p leaseId; stale ids are ignored. */
     void handleLeaseDone(std::uint64_t workerId, std::uint64_t leaseId)
         IMPSIM_EXCLUDES(fabricMutex_);
-    /** Re-queues @p clientId's leases and forgets the worker. */
+    /** Frees @p clientId's lease, if any, and forgets the worker. */
     void unregisterWorker(std::uint64_t clientId)
         IMPSIM_EXCLUDES(fabricMutex_);
     /**
-     * Hands pending leases to the least-loaded workers with free
-     * slots. LEASE frames are written after dropping the fabric lock,
-     * so a stalled worker cannot hold it for a send timeout.
+     * Hands each pending lease, oldest first, to an idle worker,
+     * lowest worker id first. LEASE frames are written after dropping
+     * the fabric lock, so a stalled worker cannot hold it for a send
+     * timeout.
      */
     void assignPendingLeases() IMPSIM_EXCLUDES(fabricMutex_);
 
@@ -243,27 +239,17 @@ class JobServer
         IMPSIM_GUARDED_BY(jobsMutex_);
     std::uint64_t nextJobId_ IMPSIM_GUARDED_BY(jobsMutex_) = 1;
 
-    /** One registered remote worker connection. */
-    struct RemoteWorker
-    {
-        std::shared_ptr<Connection> conn;
-        /** Leases it may hold at once (the WORKER slots= token). */
-        unsigned slots = 1;
-        /** Lease ids currently assigned here. */
-        std::set<std::uint64_t> leases;
-    };
-
     /** One sub-batch of a distributed job, pending or leased out. */
     struct Lease
     {
-        std::uint64_t id = 0;
         std::uint64_t jobId = 0;
         /** Run range [first, first + count) of the job's experiment. */
         std::size_t first = 0;
         std::size_t count = 0;
-        /** Owning worker's clientId; 0 while waiting in the queue. */
+        /** Holding worker's clientId; 0 while the lease is pending. */
         std::uint64_t workerId = 0;
     };
+    using LeaseMap = std::map<std::uint64_t, Lease>;
 
     /** Row-assembly state of one job sharded over the fabric. */
     struct DistJob
@@ -275,6 +261,16 @@ class JobServer
         std::size_t haveCount = 0;
     };
 
+    /** The live job @p lease belongs to; panics if there is none. */
+    DistJob &jobOf(const Lease &lease) IMPSIM_REQUIRES(fabricMutex_);
+    /**
+     * Frees the lease at @p lit from its worker: it closes when its
+     * job already holds every row in its range, else it is pending
+     * again and keeps its id, so it goes out before newer leases.
+     */
+    void releaseLease(LeaseMap::iterator lit)
+        IMPSIM_REQUIRES(fabricMutex_);
+
     /**
      * Fabric state. Lock ordering: never taken while holding — or
      * held while taking — connMutex_/jobsMutex_, and never held
@@ -282,15 +278,18 @@ class JobServer
      * written after).
      */
     Mutex fabricMutex_;
-    /** Signals row arrival, lease churn, worker arrival/departure. */
+    /** Signals row arrival and worker arrival/departure. */
     CondVar fabricCv_;
-    std::map<std::uint64_t, RemoteWorker> workers_
+    /** Registered workers by clientId. Each holds at most one lease. */
+    std::map<std::uint64_t, std::shared_ptr<Connection>> workers_
         IMPSIM_GUARDED_BY(fabricMutex_);
-    std::map<std::uint64_t, Lease> leases_
-        IMPSIM_GUARDED_BY(fabricMutex_);
-    /** Unassigned lease ids, oldest first. */
-    std::deque<std::uint64_t> pendingLeases_
-        IMPSIM_GUARDED_BY(fabricMutex_);
+    /**
+     * Every lease of every job on the fabric, by id (so oldest
+     * first); the only record of which worker holds what. Each lease
+     * belongs to a live distJobs_ entry: executeRows erases both
+     * under one lock.
+     */
+    LeaseMap leases_ IMPSIM_GUARDED_BY(fabricMutex_);
     std::map<std::uint64_t, std::shared_ptr<DistJob>> distJobs_
         IMPSIM_GUARDED_BY(fabricMutex_);
     std::uint64_t nextLeaseId_ IMPSIM_GUARDED_BY(fabricMutex_) = 1;

@@ -245,8 +245,8 @@ formatLeaseLine(const LeaseRequest &req)
 std::string
 formatFleetLine(const FleetEntry &e)
 {
-    return std::to_string(e.workerId) + " " + std::to_string(e.slots) +
-           " " + std::to_string(e.activeLeases);
+    return std::to_string(e.workerId) + " " +
+           std::to_string(e.activeLeases);
 }
 
 bool
@@ -254,27 +254,20 @@ parseFleetLine(const std::string &line, FleetEntry &out,
                std::string &error)
 {
     std::vector<std::string> tokens = splitTokens(line);
-    if (tokens.size() != 3) {
-        error = "FLEET line needs <workerId> <slots> <activeLeases>";
+    if (tokens.size() != 2) {
+        error = "FLEET line needs <workerId> <activeLeases>";
         return false;
     }
-    std::uint64_t id = 0, slots = 0, leases = 0;
+    std::uint64_t id = 0, leases = 0;
     if (!parseNumber(tokens[0], id)) {
         error = "FLEET worker id '" + tokens[0] + "' is not a number";
         return false;
     }
-    // Slot counts beyond 16 bits are registration bugs, not machines.
-    if (!parseNumber(tokens[1], slots, 65535) || slots == 0) {
-        error = "FLEET slot count '" + tokens[1] +
-                "' is not a number in [1, 65535]";
-        return false;
-    }
-    if (!parseNumber(tokens[2], leases)) {
-        error = "FLEET lease count '" + tokens[2] + "' is not a number";
+    if (!parseNumber(tokens[1], leases)) {
+        error = "FLEET lease count '" + tokens[1] + "' is not a number";
         return false;
     }
     out.workerId = id;
-    out.slots = static_cast<unsigned>(slots);
     out.activeLeases = static_cast<std::size_t>(leases);
     return true;
 }

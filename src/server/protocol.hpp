@@ -30,16 +30,16 @@
  *                                     one "<id> <state> <done>/<total>
  *                                     <bytes> <origin>" line per job
  *   FLEET <nbytes>                    then <nbytes> of fleet listing,
- *                                     one "<workerId> <slots>
- *                                     <activeLeases>" line per
- *                                     registered worker
+ *                                     one "<workerId> <activeLeases>"
+ *                                     line per registered worker
  *
  * Worker mode (the distributed sweep fabric, docs/job_server.md): a
  * connection that registers as a worker leaves the client command set
  * and speaks only these frames from then on.
  *
  * Worker -> coordinator:
- *   WORKER <version> [slots=N]        register as a remote worker
+ *   WORKER <version>                  register as a remote worker;
+ *                                     it holds one lease at a time
  *   ROW <leaseId> <run> <nbytes>      then <nbytes> of one run's output
  *   LEASEDONE <leaseId>               sub-batch processing ended
  *   LEASEFAIL <leaseId> <nbytes>      then <nbytes> of diagnostics;
@@ -69,15 +69,17 @@
 namespace impsim {
 namespace server {
 
-/** Protocol version announced in the greeting line (5: overrides
- *  travel as generic name=value tokens named like [sweep] axes, and
- *  the ooo= token is gone — --ooo is system.core_model=ooo). 4 added
- *  WORKERS/FLEET fleet enumeration. 3 added worker mode —
+/** Protocol version announced in the greeting line (6: a worker
+ *  holds one lease at a time; the WORKER slots= token and the FLEET
+ *  slot column are gone). 5: overrides travel as generic name=value
+ *  tokens named like [sweep] axes, and the ooo= token is gone —
+ *  --ooo is system.core_model=ooo. 4 added WORKERS/FLEET fleet
+ *  enumeration. 3 added worker mode —
  *  WORKER/REGISTERED registration, LEASE/ROW/LEASEDONE/LEASEFAIL/
  *  REVOKE sub-batch frames, `gone` diagnostics for evicted results.
  *  2 added FETCH/LIST, the priority= submit token, and jobs surviving
  *  their submitter's disconnect. */
-inline constexpr int kProtocolVersion = 5;
+inline constexpr int kProtocolVersion = 6;
 
 /**
  * Percent-escapes @p s so it is a single space-free token: '%', ' ',
@@ -184,15 +186,14 @@ std::string formatLeaseLine(const LeaseRequest &req);
 struct FleetEntry
 {
     std::uint64_t workerId = 0;
-    unsigned slots = 1;         ///< Leases it may hold at once.
-    std::size_t activeLeases = 0; ///< Leases currently outstanding.
+    std::size_t activeLeases = 0; ///< Leases it holds now: 0 or 1.
 };
 
 /** Serializes @p e as one FLEET payload line (no trailing newline). */
 std::string formatFleetLine(const FleetEntry &e);
 
 /**
- * Parses one FLEET payload line ("<workerId> <slots> <activeLeases>").
+ * Parses one FLEET payload line ("<workerId> <activeLeases>").
  * @return false and sets @p error on any malformed token.
  */
 bool parseFleetLine(const std::string &line, FleetEntry &out,

@@ -230,9 +230,7 @@ runWorker(const WorkerOptions &opt)
         ::close(fd);
         return 1;
     }
-    const unsigned slots = opt.slots == 0 ? 1 : opt.slots;
-    if (!writeAll(fd, "WORKER " + std::to_string(kProtocolVersion) +
-                          " slots=" + std::to_string(slots) + "\n") ||
+    if (!writeAll(fd, "WORKER " + std::to_string(kProtocolVersion) + "\n") ||
         !reader.readLine(line)) {
         std::fprintf(stderr, "impsim worker: registration failed\n");
         ::close(fd);

@@ -27,12 +27,6 @@ struct WorkerOptions
 {
     /** Coordinator address: socket path or "tcp:HOST:PORT". */
     std::string coordinator;
-    /**
-     * Leases the coordinator may hand this worker at once (WORKER
-     * slots= token). The worker runs them one at a time; more than 1
-     * only hides the LEASEDONE -> LEASE round trip.
-     */
-    unsigned slots = 1;
     /** Simulation threads per lease batch; 0 = hardware. */
     unsigned jobs = 0;
     /** Touched once registered (test/CI synchronization); "" = none. */

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "sim/report.hpp"
@@ -28,6 +29,13 @@ resolveThreads(unsigned n)
     if (n == 0)
         n = std::max(1u, std::thread::hardware_concurrency());
     return n;
+}
+
+/** True iff @p exp prints a report, not CSV: one run and no --csv. */
+bool
+isSingleReport(const Experiment &exp, bool csv)
+{
+    return exp.runs.size() == 1 && !csv;
 }
 
 } // namespace
@@ -259,7 +267,7 @@ runExperimentRuns(const Experiment &exp,
     // Row shape is a whole-experiment property, not a per-run one:
     // a worker leasing TLB-off runs out of a mixed sweep must still
     // emit the widened rows the coordinator's header promises.
-    const bool report = exp.runs.size() == 1 && !opt.csv;
+    const bool report = isSingleReport(exp, opt.csv);
     const bool with_tlb = experimentUsesTlb(exp);
     for (std::size_t i = 0; i < indices.size(); ++i) {
         const std::string &label = exp.runs[indices[i]].label;
@@ -282,11 +290,22 @@ runExperiment(const Experiment &exp, std::ostream &os,
     std::vector<std::string> rows;
     if (!runExperimentRuns(exp, all, opt, rows))
         return false;
-    if (exp.runs.size() != 1 || opt.csv)
-        os << csvHeader(exp);
-    for (const std::string &row : rows)
-        os << row;
+    os << experimentOutput(exp, opt.csv, std::move(rows));
     return true;
+}
+
+std::string
+experimentOutput(const Experiment &exp, bool csv,
+                 std::vector<std::string> rows)
+{
+    if (isSingleReport(exp, csv))
+        return std::move(rows[0]);
+    // Experiment-aware header: the TLB column group must match the
+    // widened rows TLB-enabled runs produce (report.hpp).
+    std::string out = csvHeader(exp);
+    for (const std::string &row : rows)
+        out += row;
+    return out;
 }
 
 std::string

@@ -226,8 +226,8 @@ bool runExperiment(const Experiment &exp, std::ostream &os,
  * output bytes per run: rows[i] holds exactly what run indices[i]
  * contributes to the full experiment's output — one CSV row normally,
  * or the whole report for a single-run report experiment
- * (exp.runs.size() == 1 and !opt.csv). Concatenating csvHeader(exp)
- * with every run's row in run order is therefore byte-identical to
+ * (exp.runs.size() == 1 and !opt.csv). experimentOutput() over every
+ * run's row in run order is therefore byte-identical to
  * runExperiment() on the whole experiment — the splice the job
  * server assembles results with (docs/job_server.md).
  *
@@ -239,6 +239,15 @@ bool runExperimentRuns(const Experiment &exp,
                        const std::vector<std::size_t> &indices,
                        const ExperimentRunOptions &opt,
                        std::vector<std::string> &rows);
+
+/**
+ * The bytes runExperiment() writes for @p exp, given every run's row
+ * from runExperimentRuns() in run order: a single-run report (one
+ * run, !csv) is its row alone, anything else is csvHeader(exp)
+ * followed by the rows.
+ */
+std::string experimentOutput(const Experiment &exp, bool csv,
+                             std::vector<std::string> rows);
 
 /**
  * The CSV header runExperiment() writes ahead of @p exp's rows: the

@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -217,6 +218,98 @@ queuedId(const std::string &reply)
 {
     EXPECT_EQ(reply.rfind("QUEUED ", 0), 0u) << reply;
     return reply.substr(7);
+}
+
+/** Every run's in-process row bytes, as a real worker streams them. */
+std::vector<std::string>
+inProcessRows(const std::string &text)
+{
+    Experiment exp =
+        bindExperiment(ConfigFile::parseString(text, "<text>"), {});
+    std::vector<std::size_t> all(exp.runs.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<std::string> rows;
+    EXPECT_TRUE(runExperimentRuns(exp, all, {}, rows));
+    return rows;
+}
+
+// ---- Hand-driven fake workers ----------------------------------------
+
+/** The WORKER handshake, on a raw connection. */
+void
+registerFake(RawClient &fake)
+{
+    ASSERT_TRUE(fake.send("WORKER " +
+                          std::to_string(server::kProtocolVersion) + "\n"));
+    std::string line;
+    ASSERT_TRUE(fake.readLine(line));
+    ASSERT_EQ(line.rfind("REGISTERED ", 0), 0u) << line;
+}
+
+/** Reads one LEASE frame (line plus config payload). */
+server::LeaseRequest
+readLease(RawClient &fake)
+{
+    server::LeaseRequest lease;
+    std::string line, error, config;
+    EXPECT_TRUE(fake.readLine(line));
+    EXPECT_TRUE(
+        server::parseLeaseLine(server::splitTokens(line), lease, error))
+        << line << ": " << error;
+    EXPECT_TRUE(fake.readBytes(config, lease.submit.configBytes));
+    return lease;
+}
+
+/** Streams one ROW frame for run @p run of @p leaseId. */
+bool
+sendRow(RawClient &fake, std::uint64_t leaseId, std::size_t run,
+        const std::string &row)
+{
+    return fake.send("ROW " + std::to_string(leaseId) + " " +
+                     std::to_string(run) + " " +
+                     std::to_string(row.size()) + "\n" + row);
+}
+
+bool
+sendLeaseDone(RawClient &fake, std::uint64_t leaseId)
+{
+    return fake.send("LEASEDONE " + std::to_string(leaseId) + "\n");
+}
+
+/** The WORKERS reply, parsed. */
+std::vector<server::FleetEntry>
+fleetOf(RawClient &client)
+{
+    std::vector<server::FleetEntry> fleet;
+    std::string line, payload;
+    EXPECT_TRUE(client.send("WORKERS\n"));
+    EXPECT_TRUE(client.readLine(line));
+    EXPECT_EQ(line.rfind("FLEET ", 0), 0u) << line;
+    EXPECT_TRUE(client.readBytes(payload, std::stoul(line.substr(6))));
+    std::istringstream lines(payload);
+    while (std::getline(lines, line)) {
+        server::FleetEntry e;
+        std::string error;
+        EXPECT_TRUE(server::parseFleetLine(line, e, error))
+            << line << ": " << error;
+        fleet.push_back(e);
+    }
+    return fleet;
+}
+
+/**
+ * Polls WORKERS until @p n workers are registered: a departed
+ * worker's lease is freed in the same step that unlists it.
+ */
+bool
+awaitFleetSize(RawClient &client, std::size_t n)
+{
+    for (int i = 0; i < 1500; ++i) {
+        if (fleetOf(client).size() == n)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
 }
 
 // ---- Worker process management ---------------------------------------
@@ -431,17 +524,13 @@ TEST(Fabric, SeveredWorkerSocketRequeuesToLocalFallback)
     // A hand-driven fake worker: registers, accepts a lease, then
     // drops the connection without sending a single row.
     auto fake = std::make_unique<RawClient>(sock);
-    ASSERT_TRUE(fake->send("WORKER " +
-                           std::to_string(server::kProtocolVersion) +
-                           " slots=1\n"));
-    std::string line;
-    ASSERT_TRUE(fake->readLine(line));
-    ASSERT_EQ(line.rfind("REGISTERED ", 0), 0u) << line;
+    ASSERT_NO_FATAL_FAILURE(registerFake(*fake));
 
     RawClient client(sock);
     const std::string id = queuedId(client.submit(text));
 
     // Take the first lease (line + byte-counted config payload)...
+    std::string line;
     ASSERT_TRUE(fake->readLine(line));
     server::LeaseRequest lease;
     std::string error;
@@ -632,6 +721,96 @@ TEST(Fabric, CorruptTraceBodyOnWorkerRaisesLeaseFail)
     std::remove(trace.c_str());
 }
 
+TEST(Fabric, RequeuedLeaseGoesOutBeforeNewerOnes)
+{
+    // Two hand-driven workers on a four-lease sweep. The first dies
+    // holding its lease; when the second frees up, it must get that
+    // lease back ahead of the two newer pending ones.
+    const std::string text = sweepText(4);
+    const std::vector<std::string> rows = inProcessRows(text);
+
+    const std::string sock = tempSocketPath("requeue");
+    JobServer srv(coordinatorConfig(sock, 1));
+    srv.start();
+    auto w1 = std::make_unique<RawClient>(sock);
+    ASSERT_NO_FATAL_FAILURE(registerFake(*w1));
+    RawClient w2(sock);
+    ASSERT_NO_FATAL_FAILURE(registerFake(w2));
+    RawClient client(sock);
+    RawClient monitor(sock);
+    const std::string id = queuedId(client.submit(text));
+
+    const server::LeaseRequest first = readLease(*w1);
+    const server::LeaseRequest second = readLease(w2);
+    ASSERT_EQ(first.firstRun, 0u);
+    ASSERT_EQ(second.firstRun, 1u);
+
+    w1.reset();
+    ASSERT_TRUE(awaitFleetSize(monitor, 1));
+    ASSERT_TRUE(sendRow(w2, second.leaseId, 1, rows[1]));
+    ASSERT_TRUE(sendLeaseDone(w2, second.leaseId));
+
+    const server::LeaseRequest next = readLease(w2);
+    EXPECT_EQ(next.leaseId, first.leaseId)
+        << "a re-queued lease must go out before newer ones";
+    EXPECT_EQ(next.firstRun, 0u);
+    const std::vector<server::FleetEntry> fleet = fleetOf(monitor);
+    ASSERT_EQ(fleet.size(), 1u);
+    EXPECT_EQ(fleet[0].activeLeases, 1u);
+
+    // The local pool runs whatever the last worker still owed.
+    w2.close();
+    std::string payload;
+    ASSERT_TRUE(client.awaitResult(id, payload));
+    EXPECT_EQ(payload, inProcessOutputText(text));
+
+    srv.stop();
+}
+
+TEST(Fabric, WorkerThatStreamedEveryRowIsNotRerun)
+{
+    // A worker streams every row of its lease, then dies before its
+    // LEASEDONE. Nothing of that lease is left to run, so it must
+    // not go out again.
+    const std::string text = sweepText(4);
+    const std::vector<std::string> rows = inProcessRows(text);
+
+    const std::string sock = tempSocketPath("allrows");
+    JobServer srv(coordinatorConfig(sock, 2));
+    srv.start();
+    auto w1 = std::make_unique<RawClient>(sock);
+    ASSERT_NO_FATAL_FAILURE(registerFake(*w1));
+    RawClient w2(sock);
+    ASSERT_NO_FATAL_FAILURE(registerFake(w2));
+    RawClient client(sock);
+    RawClient monitor(sock);
+    const std::string id = queuedId(client.submit(text));
+
+    const server::LeaseRequest first = readLease(*w1);
+    const server::LeaseRequest second = readLease(w2);
+    ASSERT_EQ(first.firstRun, 0u);
+    ASSERT_EQ(second.firstRun, 2u);
+
+    ASSERT_TRUE(sendRow(*w1, first.leaseId, 0, rows[0]));
+    ASSERT_TRUE(sendRow(*w1, first.leaseId, 1, rows[1]));
+    w1.reset();
+    ASSERT_TRUE(awaitFleetSize(monitor, 1));
+
+    // w2 gives its own lease back unrun, as a revoked batch does, and
+    // so is idle: the only lease left to hand out is that one.
+    ASSERT_TRUE(sendLeaseDone(w2, second.leaseId));
+    const server::LeaseRequest next = readLease(w2);
+    EXPECT_EQ(next.firstRun, 2u)
+        << "a lease whose rows all arrived went out again";
+
+    w2.close();
+    std::string payload;
+    ASSERT_TRUE(client.awaitResult(id, payload));
+    EXPECT_EQ(payload, inProcessOutputText(text));
+
+    srv.stop();
+}
+
 TEST(Fabric, WorkersVerbReportsFleet)
 {
     const std::string sock = tempSocketPath("fleet");
@@ -649,23 +828,8 @@ TEST(Fabric, WorkersVerbReportsFleet)
     WorkerProc w = spawnWorker(sock, "fleet");
     ASSERT_TRUE(w.running());
 
-    ASSERT_TRUE(client.send("WORKERS\n"));
-    ASSERT_TRUE(client.readLine(line));
-    ASSERT_EQ(line.rfind("FLEET ", 0), 0u) << line;
-    std::string payload;
-    ASSERT_TRUE(client.readBytes(payload, std::stoul(line.substr(6))));
-    std::istringstream lines(payload);
-    std::vector<server::FleetEntry> fleet;
-    std::string fleetLine;
-    while (std::getline(lines, fleetLine)) {
-        server::FleetEntry e;
-        std::string error;
-        ASSERT_TRUE(server::parseFleetLine(fleetLine, e, error))
-            << fleetLine << ": " << error;
-        fleet.push_back(e);
-    }
-    ASSERT_EQ(fleet.size(), 1u) << payload;
-    EXPECT_EQ(fleet[0].slots, 1u); // spawnWorker omits --slots
+    const std::vector<server::FleetEntry> fleet = fleetOf(client);
+    ASSERT_EQ(fleet.size(), 1u);
     EXPECT_EQ(fleet[0].activeLeases, 0u);
 
     // And through the real client helper (what `impsim_cli --list`
@@ -675,7 +839,7 @@ TEST(Fabric, WorkersVerbReportsFleet)
         << listErr.str();
     EXPECT_NE(listOut.str().find("workers:"), std::string::npos)
         << listOut.str();
-    EXPECT_NE(listOut.str().find("slots=1 active=0"), std::string::npos)
+    EXPECT_NE(listOut.str().find(" active=0"), std::string::npos)
         << listOut.str();
 
     srv.stop();

@@ -79,6 +79,47 @@ TEST_F(ImpFixture, DetectsPrimaryPattern)
     EXPECT_TRUE(found);
 }
 
+TEST_F(ImpFixture, ReusedTableEntryDropsItsPendingDetection)
+{
+    // A 2-entry table: the index PC's entry is evicted while the IPD
+    // is detecting for it and handed to another PC. The miss that
+    // would have completed the old detection must not arm the entry.
+    cfg.ptEntries = 2;
+    fillB(64);
+    makePrefetcher();
+    auto entryOf = [&](std::uint32_t pc) {
+        std::int16_t id = kNoEntry;
+        pf->table().forEach([&](std::int16_t i, PtEntry &e) {
+            if (e.pc == pc && !e.secondary)
+                id = i;
+        });
+        return id;
+    };
+    for (int i = 0; i < 3; ++i)
+        iteration(i);              // idx1 = B[2], paired with A[B[2]]
+    drv->access(kB + 3 * 4, 1, 4); // idx2 = B[3]
+    const std::int16_t id = entryOf(1);
+    ASSERT_NE(id, kNoEntry);
+    ASSERT_TRUE(pf->ipd().tracking(id, IndType::Primary));
+
+    // Two new PCs on resident lines (no misses reach the IPD): the
+    // first evicts PC 2's entry, the second PC 1's.
+    const Addr other = 0x40000;
+    host.resident.insert(other);
+    host.resident.insert(other + kLineSize);
+    drv->access(other, 3, 4);
+    drv->access(other + kLineSize, 4, 4);
+    ASSERT_EQ(entryOf(4), id);
+    EXPECT_FALSE(pf->ipd().tracking(id, IndType::Primary));
+
+    drv->access(indirectAddr(b[3], 3, kA), 2, 8); // the completing miss
+    EXPECT_EQ(pf->impStats().primaryDetections, 0u);
+    pf->table().forEach([&](std::int16_t i, PtEntry &e) {
+        EXPECT_FALSE(e.indEnable) << "entry " << i << " (pc " << e.pc
+                                  << ") armed with a stale pattern";
+    });
+}
+
 TEST_F(ImpFixture, IssuesIndirectPrefetchesAhead)
 {
     fillB(64);

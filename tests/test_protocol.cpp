@@ -406,17 +406,15 @@ TEST(FleetLines, FormatAndParseRoundTrip)
 {
     FleetEntry e;
     e.workerId = 42;
-    e.slots = 8;
-    e.activeLeases = 3;
+    e.activeLeases = 1;
     const std::string line = formatFleetLine(e);
-    EXPECT_EQ(line, "42 8 3");
+    EXPECT_EQ(line, "42 1");
 
     FleetEntry back;
     std::string error;
     ASSERT_TRUE(parseFleetLine(line, back, error)) << error;
     EXPECT_EQ(back.workerId, 42u);
-    EXPECT_EQ(back.slots, 8u);
-    EXPECT_EQ(back.activeLeases, 3u);
+    EXPECT_EQ(back.activeLeases, 1u);
 }
 
 TEST(FleetLines, MalformedLinesAreRejectedWithDiagnostics)
@@ -425,14 +423,11 @@ TEST(FleetLines, MalformedLinesAreRejectedWithDiagnostics)
     std::string error;
     EXPECT_FALSE(parseFleetLine("", e, error));
     EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(parseFleetLine("1 2", e, error));
-    EXPECT_FALSE(parseFleetLine("1 2 3 4", e, error));
-    EXPECT_FALSE(parseFleetLine("x 2 3", e, error));
-    EXPECT_FALSE(parseFleetLine("1 x 3", e, error));
-    EXPECT_FALSE(parseFleetLine("1 2 x", e, error));
-    // Zero slots cannot be registered; a fleet line claiming it is
-    // corrupt, as is an absurd slot count.
-    EXPECT_FALSE(parseFleetLine("1 0 3", e, error));
-    EXPECT_FALSE(parseFleetLine("1 99999999 3", e, error));
-    EXPECT_FALSE(parseFleetLine("-1 2 3", e, error));
+    EXPECT_FALSE(parseFleetLine("1", e, error));
+    // A version-5 line still carries the slot column.
+    EXPECT_FALSE(parseFleetLine("1 1 0", e, error));
+    EXPECT_FALSE(parseFleetLine("x 1", e, error));
+    EXPECT_FALSE(parseFleetLine("1 x", e, error));
+    EXPECT_FALSE(parseFleetLine("-1 1", e, error));
+    EXPECT_FALSE(parseFleetLine("1 -1", e, error));
 }

@@ -34,7 +34,7 @@
  *                      race-free readiness signal for scripts and CI
  *                      (contents: one "unix PATH" / "tcp PORT" line
  *                      per listener; empty in worker mode, written
- *                      once registered)
+ *                      once registered); removed on exit
  *
  * Worker mode (the distributed sweep fabric, docs/job_server.md):
  * --worker-of ADDR     do not listen; connect to the coordinator at

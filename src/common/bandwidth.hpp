@@ -40,9 +40,10 @@ struct BwGrant
  * so far-future and past claims never collide (stale slots reset on
  * reuse).
  *
- * The array form exists for the NoC: a mesh has hundreds of directed
- * links claimed in per-hop succession, and one shared backing store
- * with shared parameters is far denser in cache than a vector of
+ * The NoC holds one array over its directed links and each DRAM
+ * model one over its controllers. A mesh has hundreds of links
+ * claimed in per-hop succession, and one shared backing store with
+ * shared parameters is far denser in cache than a vector of
  * independent objects.
  *
  * Layout: time-major. Ring position p of every resource is one
@@ -195,33 +196,6 @@ class BandwidthArray
     std::size_t count_;
     std::uint64_t capacityPerBucket_;
     std::vector<Slot> ring_;
-};
-
-/**
- * One shared resource with fixed capacity per cycle — the
- * single-resource view of BandwidthArray (DRAM channels, tests).
- */
-class BucketedBandwidth
-{
-  public:
-    explicit BucketedBandwidth(double units_per_cycle,
-                               std::uint32_t bucket_cycles = 32,
-                               std::uint32_t slots = 512)
-        : array_(1, units_per_cycle, bucket_cycles, slots)
-    {}
-
-    /** Claims @p units starting no earlier than @p t. */
-    BwGrant
-    claim(Tick t, std::uint64_t units)
-    {
-        return array_.claim(0, t, units);
-    }
-
-    /** Window size in cycles (diagnostics). */
-    std::uint64_t bucketCycles() const { return array_.bucketCycles(); }
-
-  private:
-    BandwidthArray array_;
 };
 
 } // namespace impsim

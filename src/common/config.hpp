@@ -96,17 +96,6 @@ struct GhbConfig
     std::uint32_t degree = 2;
 };
 
-/**
- * What a prefetch engine does with a request whose page is absent
- * from the issuing core's L1 DTLB (docs/tlb.md).
- */
-enum class TlbPfCross : std::uint8_t {
-    Default,   ///< Per-engine value meaning "use tlb.prefetch_cross".
-    Drop,      ///< Refuse the prefetch (classic page-boundary stop).
-    Stall,     ///< Translate fully (L2 TLB, then walk), issue late.
-    Translate, ///< Spend an L2-TLB port; drop on port-busy or L2 miss.
-};
-
 /** Two-level TLB + page-table-walk model (docs/tlb.md). Default off:
  *  with enable=false nothing translates and output is bit-identical
  *  to a build without the model. */
@@ -122,28 +111,11 @@ struct TlbConfig
     std::uint32_t l2LatencyCycles = 9;
     /** Page size: 4096 or 2097152 (2 MiB large pages). */
     std::uint64_t pageBytes = 4096;
-    /** Global page-crossing prefetch policy (Default acts as Drop). */
-    TlbPfCross prefetchCross = TlbPfCross::Drop;
-    /** Per-engine overrides; Default falls back to prefetchCross. */
-    TlbPfCross impCross = TlbPfCross::Default;
-    TlbPfCross streamCross = TlbPfCross::Default;
-    TlbPfCross ghbCross = TlbPfCross::Default;
 
     /** log2(pageBytes). */
     std::uint32_t pageBits() const;
     /** Radix levels to map kAddrBits with 512-entry (9-bit) nodes. */
     std::uint32_t walkLevels() const;
-    /** prefetchCross with Default collapsed to Drop. */
-    TlbPfCross globalCross() const
-    {
-        return prefetchCross == TlbPfCross::Default ? TlbPfCross::Drop
-                                                    : prefetchCross;
-    }
-    /** Engine policy @p e with Default collapsed to the global one. */
-    TlbPfCross resolveCross(TlbPfCross e) const
-    {
-        return e == TlbPfCross::Default ? globalCross() : e;
-    }
 };
 
 /**

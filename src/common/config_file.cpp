@@ -581,14 +581,9 @@ choiceOf(const Setting &s)
     auto it = std::find(names.begin(), names.end(), s.value.text);
     if (it != names.end())
         return static_cast<std::size_t>(it - names.begin());
-    // Short lists read as a sentence, longer ones as a list.
     std::vector<std::string> head(names.begin(), names.end() - 1);
-    const std::string &last = names.back();
-    failAt(s, describeKey(s) + " must be " +
-                  (head.size() < 3
-                       ? join(head) + " or " + last + ","
-                       : "one of " + join(head) + ", " + last + ";") +
-                  " got '" + s.value.text + "'");
+    failAt(s, describeKey(s) + " must be " + join(head) + " or " +
+                  names.back() + ", got '" + s.value.text + "'");
 }
 
 // ---- Setters with checks beyond the value type ------------------------
@@ -794,7 +789,6 @@ const std::vector<Row> &
 rows()
 {
     using T = ValueType;
-    static const T cross{T::Enum, {"default", "drop", "stall", "translate"}};
     static const std::vector<Row> table = {
         {{"system", "cores", "cores", "--cores"}, {T::Positive}, setCores,
          Role::Structural},
@@ -889,22 +883,6 @@ rows()
         {{"tlb", "l2_latency"}, {T::Positive},
          [](auto &b, auto &s) { b.cfg.tlb.l2LatencyCycles = u32(s); }},
         {{"tlb", "page_bytes", "page"}, {T::Uint64}, setPageBytes},
-        {{"tlb", "prefetch_cross"}, cross,
-         [](auto &b, auto &s) {
-             b.cfg.tlb.prefetchCross = static_cast<TlbPfCross>(choiceOf(s));
-         }},
-        {{"tlb", "imp_prefetch_cross"}, cross,
-         [](auto &b, auto &s) {
-             b.cfg.tlb.impCross = static_cast<TlbPfCross>(choiceOf(s));
-         }},
-        {{"tlb", "stream_prefetch_cross"}, cross,
-         [](auto &b, auto &s) {
-             b.cfg.tlb.streamCross = static_cast<TlbPfCross>(choiceOf(s));
-         }},
-        {{"tlb", "ghb_prefetch_cross"}, cross,
-         [](auto &b, auto &s) {
-             b.cfg.tlb.ghbCross = static_cast<TlbPfCross>(choiceOf(s));
-         }},
         // [prefetch]: engine attachment
         {{"prefetch", "l1", "l1", "--prefetcher"}, {T::String},
          [](auto &b, auto &s) {

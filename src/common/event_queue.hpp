@@ -54,12 +54,12 @@ namespace impsim {
  * every memory request: a demand's or a PTE read's `done` is an
  * EventFn that the L1 schedules as is on a hit, so a hit costs one
  * event and no wrapper closure. 48 inline bytes cover every hot
- * capture — the largest is a TLB-gated prefetch (`this` plus a
- * PrefetchRequest, 32 bytes); a core's load completion is 24. Demand
- * retries, upgrade replays, DTLB-miss continuations and PerfPref
- * stores capture a whole EventFn and take SmallFn's heap fallback,
- * but those are corner cases or TLB-miss paths. At this capacity an
- * EventFn is exactly 64 bytes, the queue's cell size.
+ * capture — the largest is an L2 prefetch's fill (`this`, line,
+ * pattern and ready tick, 32 bytes); a core's load completion is 24.
+ * Demand retries, upgrade replays, DTLB-miss continuations and
+ * PerfPref stores capture a whole EventFn and take SmallFn's heap
+ * fallback, but those are corner cases or TLB-miss paths. At this
+ * capacity an EventFn is exactly 64 bytes, the queue's cell size.
  */
 using EventFn = SmallFn<void(), 48>;
 

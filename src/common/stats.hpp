@@ -176,11 +176,8 @@ struct TlbStats
     std::uint64_t walkCycles = 0;   ///< Sum of walk start->done latency.
     std::uint64_t stallCycles = 0;  ///< Demand cycles spent waiting.
     // -- page-crossing prefetch outcomes --
-    std::uint64_t pfSamePage = 0;       ///< Prefetch page already in DTLB.
-    std::uint64_t pfCrossDropped = 0;   ///< Policy drop (incl. Default).
-    std::uint64_t pfCrossStalled = 0;   ///< Stall policy: issued late.
-    std::uint64_t pfCrossTranslated = 0; ///< Translate policy: L2-TLB hit.
-    std::uint64_t pfTranslateDropped = 0; ///< Translate: busy port / L2 miss.
+    std::uint64_t pfSamePage = 0;     ///< Prefetch page already in DTLB.
+    std::uint64_t pfCrossDropped = 0; ///< Page not in DTLB: dropped.
 
     template <typename F>
     static void forEachCounter(F &&f)
@@ -198,9 +195,6 @@ struct TlbStats
         f("stallCycles", &S::stallCycles, Merge::Sum);
         f("pfSamePage", &S::pfSamePage, Merge::Sum);
         f("pfCrossDropped", &S::pfCrossDropped, Merge::Sum);
-        f("pfCrossStalled", &S::pfCrossStalled, Merge::Sum);
-        f("pfCrossTranslated", &S::pfCrossTranslated, Merge::Sum);
-        f("pfTranslateDropped", &S::pfTranslateDropped, Merge::Sum);
     }
 
     void merge(const TlbStats &o) { mergeCounters(*this, o); }

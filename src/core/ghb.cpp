@@ -6,9 +6,8 @@
 
 namespace impsim {
 
-GhbPrefetcher::GhbPrefetcher(PrefetchHost &host, const GhbConfig &cfg,
-                             TlbPfCross cross)
-    : host_(host), cfg_(cfg), cross_(cross)
+GhbPrefetcher::GhbPrefetcher(PrefetchHost &host, const GhbConfig &cfg)
+    : host_(host), cfg_(cfg)
 {
     history_.resize(cfg_.historyEntries);
     // The index never outgrows its bound, so size it once up front
@@ -49,7 +48,6 @@ GhbPrefetcher::onMiss(const AccessInfo &info)
                 PrefetchRequest req;
                 req.addr = s.line;
                 req.bytes = kLineSize;
-                req.cross = cross_;
                 host_.issuePrefetch(req);
             }
         }

@@ -26,8 +26,7 @@ namespace impsim {
 class GhbPrefetcher final : public Prefetcher
 {
   public:
-    GhbPrefetcher(PrefetchHost &host, const GhbConfig &cfg,
-                  TlbPfCross cross = TlbPfCross::Default);
+    GhbPrefetcher(PrefetchHost &host, const GhbConfig &cfg);
 
     void onAccess(const AccessInfo &info) override;
     void onMiss(const AccessInfo &info) override;
@@ -44,7 +43,6 @@ class GhbPrefetcher final : public Prefetcher
 
     PrefetchHost &host_;
     GhbConfig cfg_;
-    TlbPfCross cross_;
     std::vector<Slot> history_;
     std::int64_t head_ = 0; ///< Total pushes (mod size gives slot).
     /** line -> most recent history position (absolute). */

@@ -14,10 +14,10 @@ namespace impsim {
 ImpPrefetcher::ImpPrefetcher(PrefetchHost &host, const ImpConfig &cfg,
                              const StreamConfig &stream_cfg,
                              const GpConfig &gp_cfg, bool partial,
-                             bool line_granular, TlbPfCross cross)
+                             bool line_granular)
     : host_(host), cfg_(cfg), streamCfg_(stream_cfg), partial_(partial),
-      lineGranular_(line_granular), cross_(cross),
-      pt_(cfg, stream_cfg, &ipd_), ipd_(cfg), gp_(gp_cfg, cfg.ptEntries)
+      lineGranular_(line_granular), pt_(cfg, stream_cfg, &ipd_), ipd_(cfg),
+      gp_(gp_cfg, cfg.ptEntries)
 {}
 
 std::uint32_t
@@ -53,7 +53,7 @@ ImpPrefetcher::onAccess(const AccessInfo &info)
 
     PtEntry &e = pt_.at(obs.entry);
     issueStreamPrefetches(host_, e, obs.entry, info.addr,
-                          streamCfg_.prefetchDegree, cross_);
+                          streamCfg_.prefetchDegree);
     if (!info.write && obs.streamHit)
         handleIndexAccess(obs.entry, info);
 }
@@ -251,7 +251,6 @@ ImpPrefetcher::maybeIssueIndirect(std::int16_t id, Addr index_access_addr)
     req.addr = idx_line;
     req.bytes = kLineSize;
     req.patternId = static_cast<std::uint16_t>(id);
-    req.cross = cross_;
     if (host_.issuePrefetch(req))
         ++stats_.indexLinePrefetches;
     if (pendingIndex_.size() < kPendingCap)
@@ -283,7 +282,6 @@ ImpPrefetcher::issueIndirectFor(std::int16_t id, std::uint64_t value)
     req.exclusive = e.writeCtr >= 2;
     req.indirect = true;
     req.patternId = static_cast<std::uint16_t>(id);
-    req.cross = cross_;
 
     bool accepted = host_.issuePrefetch(req);
     if (accepted) {

@@ -58,8 +58,7 @@ class ImpPrefetcher final : public Prefetcher
      */
     ImpPrefetcher(PrefetchHost &host, const ImpConfig &cfg,
                   const StreamConfig &stream_cfg, const GpConfig &gp_cfg,
-                  bool partial, bool line_granular = false,
-                  TlbPfCross cross = TlbPfCross::Default);
+                  bool partial, bool line_granular = false);
 
     void onAccess(const AccessInfo &info) override;
     void onMiss(const AccessInfo &info) override;
@@ -88,7 +87,6 @@ class ImpPrefetcher final : public Prefetcher
     StreamConfig streamCfg_;
     bool partial_;
     bool lineGranular_;
-    TlbPfCross cross_;
     PrefetchTable pt_;
     Ipd ipd_;
     GranularityPredictor gp_;

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 
-#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace impsim {
@@ -40,10 +39,6 @@ struct PrefetchRequest
     bool exclusive = false;             ///< Fetch in E (write predicted).
     bool indirect = false;              ///< For statistics.
     std::uint16_t patternId = kNoPattern;
-    /** Page-crossing policy the issuing engine wants (docs/tlb.md).
-     *  Default defers to tlb.prefetch_cross; ignored when the TLB
-     *  model is off. */
-    TlbPfCross cross = TlbPfCross::Default;
 };
 
 /** Services the owning L1 controller offers its prefetcher. */

@@ -29,15 +29,14 @@ makePrefetcher(const std::string &spec, PrefetchHost &host,
         if (name.empty() || name == "none")
             continue; // A blank segment ("stream+", " + ") or "none".
         if (name == "stream") {
-            stack.push_back(std::make_unique<StreamPrefetcher>(
-                host, cfg.imp, stream, cfg.tlb.streamCross));
+            stack.push_back(
+                std::make_unique<StreamPrefetcher>(host, cfg.imp, stream));
         } else if (name == "imp") {
             stack.push_back(std::make_unique<ImpPrefetcher>(
                 host, cfg.imp, stream, cfg.gp,
-                cfg.partial != PartialMode::Off, at_l2, cfg.tlb.impCross));
+                cfg.partial != PartialMode::Off, at_l2));
         } else if (name == "ghb") {
-            stack.push_back(std::make_unique<GhbPrefetcher>(
-                host, cfg.ghb, cfg.tlb.ghbCross));
+            stack.push_back(std::make_unique<GhbPrefetcher>(host, cfg.ghb));
         } else {
             std::ostringstream msg;
             msg << "unknown prefetcher '" << name << "' in spec '" << spec

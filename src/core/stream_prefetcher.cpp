@@ -8,7 +8,7 @@ namespace impsim {
 
 void
 issueStreamPrefetches(PrefetchHost &host, PtEntry &e, std::int16_t entry_id,
-                      Addr addr, std::uint32_t degree, TlbPfCross cross)
+                      Addr addr, std::uint32_t degree)
 {
     if (e.stride == 0)
         return;
@@ -32,7 +32,6 @@ issueStreamPrefetches(PrefetchHost &host, PtEntry &e, std::int16_t entry_id,
             req.bytes = kLineSize;
             req.indirect = false;
             req.patternId = static_cast<std::uint16_t>(entry_id);
-            req.cross = cross;
             host.issuePrefetch(req);
         }
         frontier += forward ? 1 : -1;
@@ -42,10 +41,8 @@ issueStreamPrefetches(PrefetchHost &host, PtEntry &e, std::int16_t entry_id,
 
 StreamPrefetcher::StreamPrefetcher(PrefetchHost &host,
                                    const ImpConfig &imp_cfg,
-                                   const StreamConfig &stream_cfg,
-                                   TlbPfCross cross)
-    : host_(host), streamCfg_(stream_cfg), cross_(cross),
-      table_(imp_cfg, stream_cfg)
+                                   const StreamConfig &stream_cfg)
+    : host_(host), streamCfg_(stream_cfg), table_(imp_cfg, stream_cfg)
 {}
 
 void
@@ -57,7 +54,7 @@ StreamPrefetcher::onAccess(const AccessInfo &info)
     PtEntry &e = table_.at(obs.entry);
     if (obs.confirmed) {
         issueStreamPrefetches(host_, e, obs.entry, info.addr,
-                              streamCfg_.prefetchDegree, cross_);
+                              streamCfg_.prefetchDegree);
     }
 }
 

@@ -21,18 +21,14 @@ namespace impsim {
  */
 void issueStreamPrefetches(PrefetchHost &host, PtEntry &e,
                            std::int16_t entry_id, Addr addr,
-                           std::uint32_t degree,
-                           TlbPfCross cross = TlbPfCross::Default);
+                           std::uint32_t degree);
 
 /** The baseline stream prefetcher. */
 class StreamPrefetcher final : public Prefetcher
 {
   public:
-    /** @param cross page-crossing policy stamped on every request
-     *        (only consulted when the TLB model is on). */
     StreamPrefetcher(PrefetchHost &host, const ImpConfig &imp_cfg,
-                     const StreamConfig &stream_cfg,
-                     TlbPfCross cross = TlbPfCross::Default);
+                     const StreamConfig &stream_cfg);
 
     void onAccess(const AccessInfo &info) override;
 
@@ -42,7 +38,6 @@ class StreamPrefetcher final : public Prefetcher
   private:
     PrefetchHost &host_;
     StreamConfig streamCfg_;
-    TlbPfCross cross_;
     PrefetchTable table_;
 };
 

@@ -153,35 +153,26 @@ Mmu::dtlbLookup(CoreId c, Addr vaddr)
 void
 Mmu::translateMiss(CoreId c, Addr vaddr, EventFn done)
 {
-    missAccess(c, vaddr, true, std::move(done));
-}
-
-void
-Mmu::missAccess(CoreId c, Addr vaddr, bool demand, EventFn done)
-{
     std::uint64_t vpn = vpnOf(vaddr);
     Tick now = eq_.now();
 
     // MSHR-style coalescing: a walk already in flight for this page
-    // serves every further miss on it, demand or prefetch.
+    // serves every further miss on it.
     if (auto it = walks_.find(vpn); it != walks_.end()) {
         stats_.walkJoins += 1;
-        it->second.waiters.push_back(Waiter{c, now, demand, std::move(done)});
+        it->second.waiters.push_back(Waiter{c, now, std::move(done)});
         return;
     }
 
     Tick ready = l2PortAccess();
     if (stlb_.lookup(vpn)) {
-        if (demand) {
-            stats_.l2Hits += 1;
-            stats_.stallCycles += ready - now;
-        }
+        stats_.l2Hits += 1;
+        stats_.stallCycles += ready - now;
         dtlb_[c].insert(vpn);
         eq_.schedule(ready, std::move(done));
         return;
     }
-    if (demand)
-        stats_.l2Misses += 1;
+    stats_.l2Misses += 1;
 
     // The walk launches once the L2-TLB miss is known, at `ready`.
     stats_.walks += 1;
@@ -189,7 +180,7 @@ Mmu::missAccess(CoreId c, Addr vaddr, bool demand, EventFn done)
     w.started = ready;
     w.port = c;
     pt_.walkPath(vaddr, w.path);
-    w.waiters.push_back(Waiter{c, now, demand, std::move(done)});
+    w.waiters.push_back(Waiter{c, now, std::move(done)});
     walks_.emplace(vpn, std::move(w));
     eq_.schedule(ready, [this, vpn] { issueNextPte(vpn); });
 }
@@ -225,49 +216,21 @@ Mmu::finishWalk(std::uint64_t vpn)
     stlb_.insert(vpn);
     for (auto &wt : w.waiters) {
         dtlb_[wt.core].insert(vpn);
-        if (wt.demand)
-            stats_.stallCycles += when - wt.enqueued;
+        stats_.stallCycles += when - wt.enqueued;
     }
     for (auto &wt : w.waiters)
         wt.done();
 }
 
-Mmu::PfGate
-Mmu::prefetchGate(CoreId c, Addr vaddr, TlbPfCross policy, EventFn done)
+bool
+Mmu::prefetchPageResident(CoreId c, Addr vaddr)
 {
-    std::uint64_t vpn = vpnOf(vaddr);
-    if (dtlb_[c].present(vpn)) {
+    if (dtlb_[c].present(vpnOf(vaddr))) {
         stats_.pfSamePage += 1;
-        return PfGate::Ready;
+        return true;
     }
-    switch (policy) {
-    case TlbPfCross::Default: // Callers resolve; treat like Drop.
-    case TlbPfCross::Drop:
-        stats_.pfCrossDropped += 1;
-        return PfGate::Dropped;
-    case TlbPfCross::Stall:
-        stats_.pfCrossStalled += 1;
-        missAccess(c, vaddr, false, std::move(done));
-        return PfGate::Deferred;
-    case TlbPfCross::Translate: {
-        // Opportunistic: spend the L2-TLB port only if it is idle
-        // right now, and never launch a speculative walk.
-        if (l2NextFree_ > eq_.now() || walks_.count(vpn) != 0) {
-            stats_.pfTranslateDropped += 1;
-            return PfGate::Dropped;
-        }
-        Tick ready = l2PortAccess();
-        if (!stlb_.lookup(vpn)) {
-            stats_.pfTranslateDropped += 1;
-            return PfGate::Dropped;
-        }
-        stats_.pfCrossTranslated += 1;
-        dtlb_[c].insert(vpn);
-        eq_.schedule(ready, std::move(done));
-        return PfGate::Deferred;
-    }
-    }
-    return PfGate::Dropped; // Unreachable.
+    stats_.pfCrossDropped += 1;
+    return false;
 }
 
 } // namespace impsim

@@ -6,10 +6,9 @@
  * single-ported shared L2 TLB and, on an L2 miss, launch a radix walk
  * whose PTE reads are issued as real memory accesses through the
  * requesting core's L1 (so walk traffic warms and pollutes the cache
- * hierarchy exactly like hardware page-table walkers do). Prefetches
- * whose target page is not resident in the issuing core's DTLB are
- * gated by a per-engine policy: drop, stall for full translation, or
- * spend an L2-TLB port.
+ * hierarchy exactly like hardware page-table walkers do). A prefetch
+ * whose target page is not resident in the issuing core's DTLB is
+ * dropped.
  *
  * Everything here is deterministic: LRU recency is a monotonic use
  * counter and page-table nodes are laid out in first-walk order.
@@ -148,26 +147,19 @@ class Mmu
     /**
      * Demand-side miss path: arbitrates for the L2 TLB and walks on an
      * L2 miss, issuing PTE reads through core @p c's walk port.
-     * Installs the translation (L2 TLB + the waiting cores' DTLBs) and
-     * runs @p done exactly once, at the ready tick.
+     * Coalesces with a walk already in flight for the page. Installs
+     * the translation (L2 TLB + the waiting cores' DTLBs) and runs
+     * @p done exactly once, at the ready tick.
      */
     void translateMiss(CoreId c, Addr vaddr, EventFn done);
 
-    /** What the prefetch gate decided (docs/tlb.md). */
-    enum class PfGate : std::uint8_t {
-        Ready,    ///< Page resident in the DTLB: issue now.
-        Dropped,  ///< Policy refused the prefetch.
-        Deferred, ///< Accepted; @p done runs when translated.
-    };
-
     /**
-     * Gates a prefetch from core @p c whose target may cross a page.
-     * @p policy must be concrete (resolve Default via
-     * TlbConfig::resolveCross first). @p done is consumed only when
-     * the result is Deferred.
+     * Whether a prefetch from core @p c may issue to @p vaddr: true iff
+     * its page is in the core's DTLB (docs/tlb.md). Peeks without
+     * refreshing recency and never walks; counts pfSamePage or
+     * pfCrossDropped.
      */
-    PfGate prefetchGate(CoreId c, Addr vaddr, TlbPfCross policy,
-                        EventFn done);
+    bool prefetchPageResident(CoreId c, Addr vaddr);
 
     std::uint64_t vpnOf(Addr vaddr) const { return vaddr >> pageBits_; }
 
@@ -178,8 +170,7 @@ class Mmu
     struct Waiter
     {
         CoreId core;
-        Tick enqueued; ///< For demand-stall accounting.
-        bool demand;
+        Tick enqueued; ///< For stall accounting.
         EventFn done;
     };
 
@@ -194,9 +185,6 @@ class Mmu
 
     /** Claims the single L2-TLB port; returns the data-ready tick. */
     Tick l2PortAccess();
-
-    /** Shared L2-TLB + walk path (demand and stalled prefetches). */
-    void missAccess(CoreId c, Addr vaddr, bool demand, EventFn done);
 
     /** Next PTE read of @p vpn's walk, or its end, at now(). */
     void issueNextPte(std::uint64_t vpn);

@@ -26,17 +26,17 @@ transferCycles(std::uint32_t bytes, double bytes_per_cycle)
 
 SimpleDram::SimpleDram(std::uint32_t num_mcs, std::uint32_t latency_cycles,
                        double bytes_per_cycle)
-    : latency_(latency_cycles), bytesPerCycle_(bytes_per_cycle)
+    : latency_(latency_cycles), bytesPerCycle_(bytes_per_cycle),
+      channels_(num_mcs, bytes_per_cycle)
 {
     IMPSIM_CHECK(num_mcs > 0, "need at least one memory controller");
-    channels_.assign(num_mcs, BucketedBandwidth(bytes_per_cycle));
 }
 
 Tick
 SimpleDram::access(std::uint32_t mc, Addr, std::uint32_t bytes, bool write,
                    Tick when)
 {
-    BwGrant g = channels_.at(mc).claim(when, bytes);
+    BwGrant g = channels_.claim(mc, when, bytes);
     stats_.queueCycles += g.queueDelay;
     Tick xfer = transferCycles(bytes, bytesPerCycle_);
 
@@ -59,10 +59,10 @@ Ddr3Dram::Ddr3Dram(std::uint32_t num_mcs, const SystemConfig &cfg)
     : banksPerRank_(cfg.dramBanksPerRank), rowBytes_(cfg.dramRowBytes),
       tCas_(cfg.tCas), tRcd_(cfg.tRcd), tRp_(cfg.tRp), tRas_(cfg.tRas),
       tCtrl_(cfg.dramControllerCycles),
-      bytesPerCycle_(cfg.dramBytesPerCycle)
+      bytesPerCycle_(cfg.dramBytesPerCycle),
+      channels_(num_mcs, cfg.dramBytesPerCycle)
 {
     IMPSIM_CHECK(num_mcs > 0, "need at least one memory controller");
-    channels_.assign(num_mcs, BucketedBandwidth(cfg.dramBytesPerCycle));
     banks_.assign(std::size_t{num_mcs} * banksPerRank_, Bank{});
 }
 
@@ -79,7 +79,7 @@ Ddr3Dram::access(std::uint32_t mc, Addr addr, std::uint32_t bytes,
     // Channel bandwidth first (order-robust), then bank timing. The
     // bank busy-until is a bounded approximation (<= tRAS of error
     // for out-of-order claims).
-    BwGrant g = channels_.at(mc).claim(when, bytes);
+    BwGrant g = channels_.claim(mc, when, bytes);
     Tick start = std::max(g.start, bank.readyAt);
     stats_.queueCycles += start - when;
 

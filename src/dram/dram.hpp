@@ -65,8 +65,8 @@ class SimpleDram : public DramModel
   private:
     std::uint32_t latency_;
     double bytesPerCycle_;
-    /** Channel bandwidth per controller. */
-    std::vector<BucketedBandwidth> channels_;
+    /** Channel bandwidth, one resource per controller. */
+    BandwidthArray channels_;
 };
 
 /** Bank-state model with open-page row buffers. */
@@ -90,7 +90,7 @@ class Ddr3Dram : public DramModel
     std::uint32_t tCas_, tRcd_, tRp_, tRas_;
     std::uint32_t tCtrl_;
     double bytesPerCycle_;
-    std::vector<BucketedBandwidth> channels_;
+    BandwidthArray channels_; ///< One resource per controller.
     std::vector<Bank> banks_; ///< num_mcs * banksPerRank_, mc-major.
 };
 

@@ -69,9 +69,11 @@
 namespace impsim {
 namespace server {
 
-/** Protocol version announced in the greeting line (6: a worker
- *  holds one lease at a time; the WORKER slots= token and the FLEET
- *  slot column are gone). 5: overrides travel as generic name=value
+/** Protocol version announced in the greeting line (7: a TLB-on
+ *  row drops the pf_cross_stalled and pf_cross_translated columns,
+ *  so an older worker's rows would not match the header). 6: a
+ *  worker holds one lease at a time; the WORKER slots= token and the
+ *  FLEET slot column are gone. 5: overrides travel as generic name=value
  *  tokens named like [sweep] axes, and the ooo= token is gone —
  *  --ooo is system.core_model=ooo. 4 added WORKERS/FLEET fleet
  *  enumeration. 3 added worker mode —
@@ -79,7 +81,7 @@ namespace server {
  *  REVOKE sub-batch frames, `gone` diagnostics for evicted results.
  *  2 added FETCH/LIST, the priority= submit token, and jobs surviving
  *  their submitter's disconnect. */
-inline constexpr int kProtocolVersion = 6;
+inline constexpr int kProtocolVersion = 7;
 
 /**
  * Percent-escapes @p s so it is a single space-free token: '%', ' ',

@@ -251,9 +251,12 @@ runWorker(const WorkerOptions &opt)
     std::fprintf(stderr, "impsim worker: registered as %s with %s\n",
                  tokens.size() > 1 ? tokens[1].c_str() : "?",
                  opt.coordinator.c_str());
+    bool made_ready = false;
     if (!opt.readyFile.empty()) {
-        if (std::FILE *f = std::fopen(opt.readyFile.c_str(), "w"))
+        if (std::FILE *f = std::fopen(opt.readyFile.c_str(), "w")) {
             std::fclose(f);
+            made_ready = true;
+        }
     }
 
     LeaseQueue queue;
@@ -315,6 +318,8 @@ runWorker(const WorkerOptions &opt)
     ::shutdown(fd, SHUT_RDWR);
     executor.join();
     ::close(fd);
+    if (made_ready)
+        std::remove(opt.readyFile.c_str());
     return rc;
 }
 

@@ -29,7 +29,8 @@ struct WorkerOptions
     std::string coordinator;
     /** Simulation threads per lease batch; 0 = hardware. */
     unsigned jobs = 0;
-    /** Touched once registered (test/CI synchronization); "" = none. */
+    /** Touched once registered and removed when runWorker returns
+     *  (test/CI synchronization); "" = none. */
     std::string readyFile;
 };
 

@@ -336,34 +336,10 @@ L1Controller::issuePrefetch(const PrefetchRequest &req)
 {
     if (cfg_.magicMemory)
         return false;
-    if (mmu_ != nullptr)
-        return issuePrefetchGated(req);
-    return issuePrefetchNow(req);
-}
-
-IMPSIM_NOINLINE bool
-L1Controller::issuePrefetchGated(const PrefetchRequest &req)
-{
-    // Page-crossing gate (docs/tlb.md): a prefetch whose page is
-    // absent from this core's DTLB is dropped, stalled for a full
-    // translation, or granted an opportunistic L2-TLB port,
-    // per-engine. A deferred request re-enters the normal issue
-    // path at translation-ready and is dropped silently there if
-    // the line arrived some other way in the meantime.
-    TlbPfCross policy = cfg_.tlb.resolveCross(req.cross);
-    Mmu::PfGate gate =
-        mmu_->prefetchGate(core_, req.addr, policy,
-                           [this, req] { issuePrefetchNow(req); });
-    if (gate == Mmu::PfGate::Dropped)
+    // A prefetch whose page this core has not translated is dropped
+    // (docs/tlb.md).
+    if (mmu_ != nullptr && !mmu_->prefetchPageResident(core_, req.addr))
         return false;
-    if (gate == Mmu::PfGate::Deferred)
-        return true;
-    return issuePrefetchNow(req);
-}
-
-bool
-L1Controller::issuePrefetchNow(const PrefetchRequest &req)
-{
     Addr line_addr = lineAlign(req.addr);
     std::uint32_t mask = maskFor(req.addr, req.bytes);
 

@@ -127,10 +127,6 @@ class L1Controller final : public MemPort,
                             bool indirect, std::uint16_t pattern_id,
                             const MemAccess *origin = nullptr);
 
-    /** The TLB page-crossing gate (cold: only when the MMU is on). */
-    bool issuePrefetchGated(const PrefetchRequest &req);
-    /** issuePrefetch body, after the TLB page-crossing gate. */
-    bool issuePrefetchNow(const PrefetchRequest &req);
     /** DTLB-miss continuation (cold: only when the MMU is on). */
     void demandAccessTlbMiss(const MemAccess &access, EventFn done);
 

@@ -82,8 +82,7 @@ writeCsvHeader(std::ostream &os, bool with_tlb)
           "noc_bytes,noc_queue_cycles,dram_bytes,dram_queue_cycles";
     if (with_tlb) {
         os << ",tlb_l1_mpki,tlb_l2_mpki,tlb_walks,tlb_walk_cycles,"
-              "tlb_stall_cycles,pf_cross_dropped,pf_cross_stalled,"
-              "pf_cross_translated";
+              "tlb_stall_cycles,pf_cross_dropped";
     }
     os << "\n";
 }
@@ -111,8 +110,7 @@ writeCsvRow(std::ostream &os, const std::string &label, const SimStats &s,
         os << ',' << s.tlb.l1Mpki(s.core.instructions) << ','
            << s.tlb.l2Mpki(s.core.instructions) << ',' << s.tlb.walks
            << ',' << s.tlb.walkCycles << ',' << s.tlb.stallCycles << ','
-           << s.tlb.pfCrossDropped << ',' << s.tlb.pfCrossStalled << ','
-           << s.tlb.pfCrossTranslated;
+           << s.tlb.pfCrossDropped;
     }
     os << "\n";
 }

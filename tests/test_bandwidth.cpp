@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the bucketed bandwidth model.
+ * Unit tests for the bucketed bandwidth model. The single-resource
+ * cases use resource 0 of a one-resource array.
  */
 #include <gtest/gtest.h>
 
@@ -16,47 +17,47 @@ namespace {
 
 TEST(Bandwidth, UncontendedClaimStartsImmediately)
 {
-    BucketedBandwidth bw(1.0, 32);
-    BwGrant g = bw.claim(100, 8);
+    BandwidthArray bw(1, 1.0, 32);
+    BwGrant g = bw.claim(0, 100, 8);
     EXPECT_EQ(g.start, 100u);
     EXPECT_EQ(g.queueDelay, 0u);
 }
 
 TEST(Bandwidth, SaturatedBucketPushesToNextWindow)
 {
-    BucketedBandwidth bw(1.0, 32);
-    bw.claim(0, 32); // Fills bucket [0,32).
-    BwGrant g = bw.claim(0, 4);
+    BandwidthArray bw(1, 1.0, 32);
+    bw.claim(0, 0, 32); // Fills bucket [0,32).
+    BwGrant g = bw.claim(0, 0, 4);
     EXPECT_GE(g.start, 32u);
     EXPECT_EQ(g.queueDelay, g.start);
 }
 
 TEST(Bandwidth, OutOfOrderClaimsDoNotFalselyQueue)
 {
-    BucketedBandwidth bw(1.0, 32);
+    BandwidthArray bw(1, 1.0, 32);
     // A far-future claim must not delay an earlier one — the failure
     // mode of a busy-until register.
-    bw.claim(100000, 32);
-    BwGrant g = bw.claim(64, 8);
+    bw.claim(0, 100000, 32);
+    BwGrant g = bw.claim(0, 64, 8);
     EXPECT_EQ(g.start, 64u);
     EXPECT_EQ(g.queueDelay, 0u);
 }
 
 TEST(Bandwidth, LargeClaimSpansBuckets)
 {
-    BucketedBandwidth bw(1.0, 32);
-    BwGrant g = bw.claim(0, 100); // Needs four buckets.
+    BandwidthArray bw(1, 1.0, 32);
+    BwGrant g = bw.claim(0, 0, 100); // Needs four buckets.
     EXPECT_EQ(g.start, 0u);
     EXPECT_GE(g.finish, 64u); // Last units land in bucket 3.
 }
 
 TEST(Bandwidth, SustainedOverloadQueuesLinearly)
 {
-    BucketedBandwidth bw(1.0, 32);
+    BandwidthArray bw(1, 1.0, 32);
     // Offer 2x capacity starting at t=0; delays must grow.
     Tick last_delay = 0;
     for (int i = 0; i < 16; ++i) {
-        BwGrant g = bw.claim(0, 64);
+        BwGrant g = bw.claim(0, 0, 64);
         EXPECT_GE(g.queueDelay, last_delay);
         last_delay = g.queueDelay;
     }
@@ -66,18 +67,18 @@ TEST(Bandwidth, SustainedOverloadQueuesLinearly)
 TEST(Bandwidth, FractionalCapacity)
 {
     // 0.25 units/cycle -> 8 units per 32-cycle bucket.
-    BucketedBandwidth bw(0.25, 32);
-    bw.claim(0, 8);
-    BwGrant g = bw.claim(0, 1);
+    BandwidthArray bw(1, 0.25, 32);
+    bw.claim(0, 0, 8);
+    BwGrant g = bw.claim(0, 0, 1);
     EXPECT_GE(g.start, 32u);
 }
 
 TEST(Bandwidth, StaleSlotsRecycleWithoutGhostTraffic)
 {
-    BucketedBandwidth bw(1.0, 4, 8); // Tiny ring: horizon 32 cycles.
-    bw.claim(0, 4);                  // Bucket 0 full.
+    BandwidthArray bw(1, 1.0, 4, 8); // Tiny ring: horizon 32 cycles.
+    bw.claim(0, 0, 4);               // Bucket 0 full.
     // Bucket 8 reuses slot 0; must see a fresh (empty) bucket.
-    BwGrant g = bw.claim(32, 4);
+    BwGrant g = bw.claim(0, 32, 4);
     EXPECT_EQ(g.start, 32u);
 }
 
@@ -86,13 +87,13 @@ TEST(Bandwidth, SearchStaysWithinOneLapOfTheRing)
     // Four windows of 4 cycles, each booked solid: a further claim
     // from window 0 must not wrap onto window 0's own slot, take it
     // for window 4 and so erase window 0's bookings.
-    BucketedBandwidth bw(1.0, 4, 4);
+    BandwidthArray bw(1, 1.0, 4, 4);
     for (Tick w = 0; w < 4; ++w)
-        bw.claim(4 * w, 4);
-    BwGrant forced = bw.claim(0, 1);
+        bw.claim(0, 4 * w, 4);
+    BwGrant forced = bw.claim(0, 0, 1);
     EXPECT_EQ(forced.start, 12u) << "forced through at the lap's end";
 
-    BwGrant g = bw.claim(0, 1);
+    BwGrant g = bw.claim(0, 0, 1);
     EXPECT_GT(g.queueDelay, 0u) << "window 0 must still read full";
 }
 
@@ -248,11 +249,11 @@ class BwSweep : public ::testing::TestWithParam<int>
 TEST_P(BwSweep, ThroughputBoundedByCapacity)
 {
     double cap = GetParam();
-    BucketedBandwidth bw(cap, 32);
+    BandwidthArray bw(1, cap, 32);
     Tick horizon = 0;
     std::uint64_t total = 0;
     for (int i = 0; i < 200; ++i) {
-        BwGrant g = bw.claim(0, 16);
+        BwGrant g = bw.claim(0, 0, 16);
         total += 16;
         if (g.finish > horizon)
             horizon = g.finish;

@@ -4,8 +4,8 @@
  * TlbWalkPort::walkAccess): every request's `done` runs exactly once,
  * at the tick its data is available, on every path through the L1 —
  * hit, merge into an in-flight fill, retry, upgrade replay, magic and
- * PerfPref memory, DTLB miss and PTE read — and a prefetch stalled at
- * the TLB gate issues at its translation-ready tick.
+ * PerfPref memory, DTLB miss and PTE read — and a prefetch to a page
+ * the core has not translated is dropped without a walk or a fill.
  *
  * The pinned ticks are the model's timing on a 4-core hierarchy: a
  * completion that ran one tick early or late, or as a second event,
@@ -225,35 +225,34 @@ TEST(Completion, PteReadHitsAndRidesAnInFlightFill)
     EXPECT_EQ(r.at[hit], t0 + r.cfg.l1LatencyCycles);
 }
 
-TEST(Completion, StalledPrefetchIssuesAtTranslationReady)
+TEST(Completion, UntranslatedPrefetchIsDroppedUntilADemandTranslates)
 {
-    PrefetchRequest req;
-    req.addr = kLine;
-    req.cross = TlbPfCross::Stall;
-
-    // First learn when the translation is ready: the L2-TLB probe,
-    // then the walk.
-    Rig probe(tlbConfig());
-    EXPECT_TRUE(probe.hier->l1(0).issuePrefetch(req));
-    probe.eq.run();
-    const TlbStats &ts = probe.hier->mmu()->stats();
-    ASSERT_EQ(ts.pfCrossStalled, 1u);
-    ASSERT_EQ(ts.walks, 1u);
-    Tick ready = probe.cfg.tlb.l2LatencyCycles + ts.walkCycles;
-    EXPECT_EQ(ready, 529u);
-    EXPECT_EQ(probe.hier->l1(0).stats().prefIssued, 1u);
-    EXPECT_TRUE(probe.hier->l1(0).linePresent(kLine));
-
-    // The deferred prefetch issues exactly then, once.
     Rig r(tlbConfig());
-    EXPECT_TRUE(r.hier->l1(0).issuePrefetch(req));
-    const CacheStats &s = r.hier->l1(0).stats();
-    EXPECT_FALSE(r.eq.run(ready - 1));
-    EXPECT_EQ(s.prefIssued, 0u) << "deferred until translated";
-    EXPECT_FALSE(r.eq.run(ready));
-    EXPECT_EQ(s.prefIssued, 1u);
+    L1Controller &l1 = r.hier->l1(0);
+    const TlbStats &ts = r.hier->mmu()->stats();
+    // Another line of kLine's page.
+    PrefetchRequest req;
+    req.addr = kLine + 2 * kLineSize;
+
+    // The page is not in core 0's DTLB: dropped, with no walk and no
+    // fill behind it.
+    EXPECT_FALSE(l1.issuePrefetch(req));
+    EXPECT_EQ(r.eq.pending(), 0u);
+    EXPECT_EQ(ts.pfCrossDropped, 1u);
+    EXPECT_EQ(ts.walks, 0u);
+    EXPECT_EQ(l1.stats().prefIssued, 0u);
+
+    // A demand walks the page into the DTLB; the same request issues.
+    std::size_t load = r.issue(0, kLine);
     r.eq.run();
-    EXPECT_EQ(s.prefIssued, 1u);
+    ASSERT_EQ(r.calls[load], 1);
+    ASSERT_EQ(ts.walks, 1u);
+    EXPECT_TRUE(l1.issuePrefetch(req));
+    EXPECT_EQ(ts.pfSamePage, 1u);
+    r.eq.run();
+    EXPECT_EQ(l1.stats().prefIssued, 1u);
+    EXPECT_TRUE(l1.linePresent(req.addr));
+    EXPECT_EQ(ts.walks, 1u);
 }
 
 } // namespace

@@ -59,7 +59,7 @@ configCorpus()
             "[system]\napp = 5\n",
             "[system]\npreset = 3\n",
             "[system]\nscale = fast\n",
-            "[tlb]\nimp_prefetch_cross = 3\n",
+            "[system]\npartial = 3\n",
             // Ranges and domains.
             "[system]\ncores = 12\n",
             "[system]\ncores = 0\n",
@@ -85,7 +85,7 @@ configCorpus()
             "[ghb]\ndegree = 0\n",
             "[tlb]\npage_bytes = 8192\n",
             "[tlb]\npage_bytes = -1\n",
-            "[tlb]\nprefetch_cross = sometimes\n",
+            "[tlb]\nprefetch_cross = drop\n",
             "[prefetch]\nl1 = warp\n",
             "[prefetch]\nl2 = imp+warp\n",
             "[system]\ncores = 4\n[prefetch]\ncore.4 = imp\n",

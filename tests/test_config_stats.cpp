@@ -198,11 +198,9 @@ TEST(Stats, EveryFieldHasOneRowInFieldOrder)
                           a12, a13, a14, a15));
 
     TlbStats tlb;
-    const auto &[t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12,
-                 t13, t14] = tlb;
-    EXPECT_EQ(rowFields(tlb),
-              addressesOf(t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11,
-                          t12, t13, t14));
+    const auto &[t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11] = tlb;
+    EXPECT_EQ(rowFields(tlb), addressesOf(t0, t1, t2, t3, t4, t5, t6, t7,
+                                          t8, t9, t10, t11));
 
     NocStats noc;
     const auto &[n0, n1, n2, n3, n4] = noc;

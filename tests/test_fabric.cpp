@@ -331,9 +331,10 @@ struct WorkerProc
             ::kill(pid, SIGKILL);
     }
 
-    /** Reaps the process, escalating to SIGKILL after ~10s. */
+    /** Waits for the process to exit, escalating to SIGKILL after
+     *  ~10s; leaves the ready file alone. */
     int
-    reap()
+    wait()
     {
         if (pid <= 0)
             return -1;
@@ -342,7 +343,6 @@ struct WorkerProc
             pid_t r = ::waitpid(pid, &status, WNOHANG);
             if (r == pid) {
                 pid = -1;
-                std::remove(readyFile.c_str());
                 return status;
             }
             if (i == 500)
@@ -351,6 +351,15 @@ struct WorkerProc
         }
         pid = -1;
         return -1;
+    }
+
+    /** wait(), then removes the ready file a killed worker leaves. */
+    int
+    reap()
+    {
+        int status = wait();
+        std::remove(readyFile.c_str());
+        return status;
     }
 };
 
@@ -455,6 +464,22 @@ TEST(Fabric, TwoWorkersShardedSweepMatchesLocal)
             << w->logPath << " shows no lease activity:\n"
             << all;
     }
+}
+
+TEST(Fabric, WorkerRemovesItsReadyFileOnExit)
+{
+    const std::string sock = tempSocketPath("ready");
+    JobServer srv(coordinatorConfig(sock, 4));
+    srv.start();
+    WorkerProc w = spawnWorker(sock, "ready");
+    ASSERT_TRUE(w.running());
+
+    srv.stop();
+    EXPECT_EQ(w.wait(), 0) << "worker must exit 0 on coordinator EOF";
+    struct stat st;
+    EXPECT_NE(::stat(w.readyFile.c_str(), &st), 0)
+        << w.readyFile << " outlived its worker";
+    w.reap();
 }
 
 TEST(Fabric, SingleRunReportThroughWorker)

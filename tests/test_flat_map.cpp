@@ -163,8 +163,9 @@ TEST(FlatHashMap, RandomizedAgainstUnorderedMapModel)
             break;
           case 3:
             EXPECT_EQ(m.count(key), model.count(key));
-            if (model.count(key))
+            if (model.count(key)) {
                 EXPECT_EQ(m.at(key), model.at(key));
+            }
             break;
         }
         if (step % 50000 == 49999) {

@@ -145,9 +145,10 @@ TEST_F(ImpFixture, PrefetchedAddressesAreCorrect)
     for (std::uint32_t v : b)
         legal.insert(lineOf(indirectAddr(v, 3, kA)));
     for (const auto &r : host.issued) {
-        if (r.indirect)
+        if (r.indirect) {
             EXPECT_TRUE(legal.count(lineOf(r.addr)))
                 << "bogus prefetch to " << std::hex << r.addr;
+        }
     }
 }
 

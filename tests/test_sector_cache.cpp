@@ -229,8 +229,9 @@ TEST(SectorCacheProperty, VictimStaysInSet)
     SectorCache c(8192, 2, 64);
     for (Addr a = 0; a < 64 * 256; a += 64) {
         CacheLine *v = c.victim(a);
-        if (v->valid())
+        if (v->valid()) {
             EXPECT_EQ(c.setOf(v->lineAddr), c.setOf(a));
+        }
         c.fill(*v, a, CState::S, c.allSectors(), false);
     }
 }

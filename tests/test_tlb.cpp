@@ -1,7 +1,7 @@
 /**
  * @file
  * The `tlb` tier (docs/tlb.md): TLB arrays, the radix page table, MMU
- * walk/coalescing/prefetch-gate behavior against a stub walk port,
+ * walk/coalescing/prefetch-page behavior against a stub walk port,
  * virtual-memory effects in whole-System runs, the VirtAlloc
  * page-boundary contract, `[tlb]` config binding, and the TLB-on
  * golden CSV. The TLB-off bit-identity guarantee is pinned both here
@@ -236,84 +236,30 @@ TEST(Mmu, PrefetchGateSamePageIsFree)
     f.mmu->translateMiss(0, a, [] {});
     EXPECT_TRUE(f.eq.run());
 
-    auto g = f.mmu->prefetchGate(0, a + 64, TlbPfCross::Drop,
-                                 [] {});
-    EXPECT_EQ(g, Mmu::PfGate::Ready);
+    EXPECT_TRUE(f.mmu->prefetchPageResident(0, a + 64));
     EXPECT_EQ(f.mmu->stats().pfSamePage, 1u);
+    EXPECT_EQ(f.mmu->stats().pfCrossDropped, 0u);
 }
 
 TEST(Mmu, PrefetchGateDropRefusesPageCrossers)
 {
     MmuFixture f;
-    auto g = f.mmu->prefetchGate(0, Addr{1} << 31, TlbPfCross::Drop,
-                                 [] {});
-    EXPECT_EQ(g, Mmu::PfGate::Dropped);
+    EXPECT_FALSE(f.mmu->prefetchPageResident(0, Addr{1} << 31));
     EXPECT_EQ(f.mmu->stats().pfCrossDropped, 1u);
+    EXPECT_EQ(f.mmu->stats().pfSamePage, 0u);
+    // The check never takes the miss path: no L2-TLB probe, no walk.
+    EXPECT_EQ(f.mmu->stats().l2Hits + f.mmu->stats().l2Misses, 0u);
     EXPECT_EQ(f.mmu->stats().walks, 0u);
-}
-
-TEST(Mmu, PrefetchGateStallWalksThenFires)
-{
-    MmuFixture f;
-    Tick done_at = 0;
-    auto g = f.mmu->prefetchGate(0, Addr{1} << 31, TlbPfCross::Stall,
-                                 [&] { done_at = f.eq.now(); });
-    EXPECT_EQ(g, Mmu::PfGate::Deferred);
-    EXPECT_TRUE(f.eq.run());
-    EXPECT_GT(done_at, 0u);
-    const TlbStats &s = f.mmu->stats();
-    EXPECT_EQ(s.pfCrossStalled, 1u);
-    EXPECT_EQ(s.walks, 1u);
-    // Prefetch-initiated walks never count demand L2 misses or stalls.
-    EXPECT_EQ(s.l2Misses, 0u);
-    EXPECT_EQ(s.stallCycles, 0u);
-}
-
-TEST(Mmu, PrefetchGateTranslateIsOpportunistic)
-{
-    MmuFixture f;
-    const Addr a = Addr{1} << 30;
-    // Not in the L2 TLB: translate must drop, not walk.
-    auto g = f.mmu->prefetchGate(0, a, TlbPfCross::Translate,
-                                 [] {});
-    EXPECT_EQ(g, Mmu::PfGate::Dropped);
-    EXPECT_EQ(f.mmu->stats().pfTranslateDropped, 1u);
-    EXPECT_EQ(f.mmu->stats().walks, 0u);
-
-    // Warm the L2 TLB through core 1, then translate succeeds.
-    f.mmu->translateMiss(1, a, [] {});
-    EXPECT_TRUE(f.eq.run());
-    Tick done_at = 0;
-    g = f.mmu->prefetchGate(0, a, TlbPfCross::Translate,
-                            [&] { done_at = f.eq.now(); });
-    EXPECT_EQ(g, Mmu::PfGate::Deferred);
-    EXPECT_TRUE(f.eq.run());
-    EXPECT_EQ(f.mmu->stats().pfCrossTranslated, 1u);
-    EXPECT_TRUE(f.mmu->dtlbLookup(0, a));
-    EXPECT_GE(done_at, Tick{f.cfg.tlb.l2LatencyCycles});
-}
-
-TEST(Mmu, CrossPolicyResolutionCollapsesDefaults)
-{
-    TlbConfig t;
-    EXPECT_EQ(t.globalCross(), TlbPfCross::Drop);
-    EXPECT_EQ(t.resolveCross(TlbPfCross::Default), TlbPfCross::Drop);
-    t.prefetchCross = TlbPfCross::Stall;
-    EXPECT_EQ(t.resolveCross(TlbPfCross::Default), TlbPfCross::Stall);
-    EXPECT_EQ(t.resolveCross(TlbPfCross::Translate),
-              TlbPfCross::Translate);
 }
 
 // ---- Whole-System behavior --------------------------------------------
 
 SimStats
-runSmoke(bool tlb, std::uint64_t page_bytes = 4096,
-         TlbPfCross cross = TlbPfCross::Drop)
+runSmoke(bool tlb, std::uint64_t page_bytes = 4096)
 {
     SystemConfig cfg = makePreset(ConfigPreset::Imp, 4);
     cfg.tlb.enable = tlb;
     cfg.tlb.pageBytes = page_bytes;
-    cfg.tlb.prefetchCross = cross;
     WorkloadParams params;
     params.numCores = 4;
     params.scale = 0.05;
@@ -341,6 +287,9 @@ TEST(TlbSystem, WalksShowUpAndCostCycles)
     // are exactly walks x levels.
     EXPECT_EQ(on.tlb.walkAccesses,
               on.tlb.walks * ((kAddrBits - 12 + 8) / 9));
+    // Prefetches to translated pages issue; the rest are dropped.
+    EXPECT_GT(on.tlb.pfSamePage, 0u);
+    EXPECT_GT(on.tlb.pfCrossDropped, 0u);
     // Same work executed; translation can only add cycles.
     EXPECT_EQ(on.core.instructions, off.core.instructions);
     EXPECT_GE(on.cycles, off.cycles);
@@ -353,19 +302,6 @@ TEST(TlbSystem, HugePagesMissLessThanSmallPages)
     EXPECT_LT(p2m.tlb.l1Misses, p4k.tlb.l1Misses);
     EXPECT_LE(p2m.tlb.walks, p4k.tlb.walks);
     EXPECT_LE(p2m.cycles, p4k.cycles);
-}
-
-TEST(TlbSystem, CrossingPolicyMovesPrefetchCounters)
-{
-    SimStats drop = runSmoke(true, 4096, TlbPfCross::Drop);
-    SimStats stall = runSmoke(true, 4096, TlbPfCross::Stall);
-    EXPECT_GT(drop.tlb.pfSamePage, 0u);
-    EXPECT_GT(drop.tlb.pfCrossDropped, 0u);
-    EXPECT_EQ(drop.tlb.pfCrossStalled, 0u);
-    EXPECT_GT(stall.tlb.pfCrossStalled, 0u);
-    EXPECT_EQ(stall.tlb.pfCrossDropped, 0u);
-    // Stalling issues the crossers the drop policy lost.
-    EXPECT_GE(stall.l1.prefIssued, drop.l1.prefIssued);
 }
 
 TEST(TlbSystem, DisabledTlbIsBitIdenticalToNoTlbSection)
@@ -455,11 +391,7 @@ TEST(TlbConfigFile, SectionBindsEveryKey)
         "l2_entries = 512\n"
         "l2_ways    = 4\n"
         "l2_latency = 7\n"
-        "page_bytes = 2097152\n"
-        "prefetch_cross        = stall\n"
-        "imp_prefetch_cross    = translate\n"
-        "stream_prefetch_cross = drop\n"
-        "ghb_prefetch_cross    = default\n"));
+        "page_bytes = 2097152\n"));
     ASSERT_EQ(exp.runs.size(), 1u);
     const TlbConfig &t = exp.runs[0].cfg.tlb;
     EXPECT_TRUE(t.enable);
@@ -469,10 +401,6 @@ TEST(TlbConfigFile, SectionBindsEveryKey)
     EXPECT_EQ(t.l2Ways, 4u);
     EXPECT_EQ(t.l2LatencyCycles, 7u);
     EXPECT_EQ(t.pageBytes, 2097152u);
-    EXPECT_EQ(t.prefetchCross, TlbPfCross::Stall);
-    EXPECT_EQ(t.impCross, TlbPfCross::Translate);
-    EXPECT_EQ(t.streamCross, TlbPfCross::Drop);
-    EXPECT_EQ(t.ghbCross, TlbPfCross::Default);
     EXPECT_TRUE(experimentUsesTlb(exp));
 }
 
@@ -491,9 +419,12 @@ TEST(TlbConfigFile, BadValuesDiagnoseWithPosition)
     EXPECT_NE(bad_page.find("4096 or 2097152"), std::string::npos)
         << bad_page;
     EXPECT_NE(bad_page.find(":2:"), std::string::npos) << bad_page;
-    std::string bad_policy =
-        bindError("[tlb]\nprefetch_cross = sometimes\n");
-    EXPECT_NE(bad_policy.find("drop"), std::string::npos) << bad_policy;
+    // Page-crossing prefetches have one rule, so no key picks one.
+    std::string gone = bindError("[tlb]\nprefetch_cross = drop\n");
+    EXPECT_NE(gone.find("unknown key 'prefetch_cross' in [tlb]"),
+              std::string::npos)
+        << gone;
+    EXPECT_NE(gone.find(":2:"), std::string::npos) << gone;
 }
 
 TEST(TlbConfigFile, PageSweepAxisExpands)
